@@ -3,12 +3,13 @@
 Input files are JSON documents recognized by their fields: a digraph
 has "vertices" and "arcs"; a poset "elements" and "covers"; a
 relational system "elements" and "relations"; a space "elements",
-"monoid" and "dist" (distance keys "x,y", word values as JSON arrays
-of generator words).  Certificates are JSON with sorted keys and no
-timestamps, so identical invocations produce identical bytes.  The
-verify subcommand re-checks a certificate's witnesses against the
-input, re-deriving definitional facts but never re-running the
-searches that produced the witnesses.
+"monoid" and "dist" (distance keys "x,y"; a word value is a string
+holding a JSON array of generator words, such as "[\"+-\"]").
+Certificates are JSON with sorted keys and no timestamps, so identical
+invocations produce identical bytes.  The verify subcommand re-checks a
+certificate against the input: witnesses are checked definitionally,
+while check certificates and the zigzag space of a demo are computed
+again.
 
 Exit codes: 0 when a verdict was computed (negative verdicts
 included), 2 for input errors, 3 for exceeded caps, 4 for violated
@@ -46,7 +47,7 @@ from .poset import (
     tarski_common_fixed_points,
     vspace_to_poset,
 )
-from .relsys import BALLSET_CAP, RelSys, SelfMap
+from .relsys import BALLSET_CAP, RelSys, SelfMap, retraction_violation
 from .vmetric import (
     CARRIER_CAP,
     RadiusMap,
@@ -61,8 +62,11 @@ from .zigzag import (
     FACTOR_CAP,
     SEARCH_NODE_CAP,
     Digraph,
+    FactorMap,
     embed_into_zigzag_product,
+    embedding_violation,
     macneille_bounded,
+    product_retract_violation,
     values_in_macneille,
     zigzag_fixed_point_demo,
     zigzag_space,
@@ -603,29 +607,11 @@ def _verify_distance(cert: dict, inputs: _Inputs, args) -> None:
         )
 
 
-def _verify_retract_table(system: RelSys, fixed: list, table: dict) -> None:
-    a = frozenset(fixed)
-    _expect(
-        sorted(table) == sorted(set(system.elements) - a),
-        "retract table does not cover exactly the outside points",
-    )
-    for x, anchor in table.items():
-        hit = frozenset(system.elements)
-        for u in sorted(a):
-            for rname in system.relation_names:
-                b = system.ball(u, rname)
-                if x in b:
-                    hit &= b
-        meet = hit & a
-        _expect(bool(meet), f"retract table: no valid anchor exists for {x!r}")
-        _expect(
-            anchor == min(meet),
-            f"retract table: anchor for {x!r} should be {min(meet)!r}, "
-            f"certificate has {anchor!r}",
-        )
-
-
-def _verify_fixed_points(system: RelSys, mappings: list, fixed: list) -> None:
+def _verify_fixed_set(system: RelSys, mappings: list, cert: dict) -> None:
+    """The maps are commuting endomorphisms, the certificate lists
+    exactly their common fixed points, and its retract table is the
+    one-local-retract table of that set."""
+    fixed = _cert_field(cert, "fixed_points")
     selfmaps = [SelfMap.make(m, system.elements) for m in mappings]
     for i, f in enumerate(selfmaps):
         _expect(
@@ -644,6 +630,16 @@ def _verify_fixed_points(system: RelSys, mappings: list, fixed: list) -> None:
         f"fixed points: certificate has {sorted(fixed)}, the maps fix "
         f"{expected}",
     )
+    olr = system.is_one_local_retract(fixed)
+    _expect(olr.ok, f"retract table: no valid anchor exists for {olr.violator!r}")
+    table = _cert_field(cert, "retract_table")
+    fresh = olr.table_dict
+    for x in sorted(set(table) | set(fresh)):
+        _expect(
+            table.get(x) == fresh.get(x),
+            f"retract table: anchor for {x!r} should be {fresh.get(x)!r}, "
+            f"certificate has {table.get(x)!r}",
+        )
 
 
 def _verify_fixpoint(cert: dict, inputs: _Inputs, args) -> None:
@@ -654,9 +650,7 @@ def _verify_fixpoint(cert: dict, inputs: _Inputs, args) -> None:
         system = poset_to_vspace(_load_poset(inputs.doc)).to_relsys()
     else:
         system = _relsys_of(inputs, args)
-    fixed = _cert_field(cert, "fixed_points")
-    _verify_fixed_points(system, mappings, fixed)
-    _verify_retract_table(system, fixed, _cert_field(cert, "retract_table"))
+    _verify_fixed_set(system, mappings, cert)
 
 
 def _verify_embed(cert: dict, inputs: _Inputs, args) -> None:
@@ -680,39 +674,12 @@ def _verify_embed(cert: dict, inputs: _Inputs, args) -> None:
         x, y = _split_pair_key(key)
         _verify_generator_list(g, x, y, gens)
         table[x, y] = words.UpSet.from_words(gens)
-    factors = _cert_field(cert, "factors")
-    for factor in factors:
-        x, y = factor["pair"]
-        u = factor["word"]
-        image = factor["image"]
-        _expect(
-            sorted(image) == list(g.vertices),
-            f"factor ({x!r},{y!r},{u!r}): image does not cover the vertices",
-        )
-        _expect(
-            image[x] == 0 and image[y] == len(u),
-            f"factor ({x!r},{y!r},{u!r}): endpoints are not start and end",
-        )
-        for a in g.vertices:
-            for b in g.vertices:
-                i, j = image[a], image[b]
-                seg = u[i:j] if i <= j else words.involute_word(u[j:i])
-                _expect(
-                    words.principal(seg).leq(table[a, b]),
-                    f"factor ({x!r},{y!r},{u!r}): expansive at ({a!r},{b!r})",
-                )
-    for a in g.vertices:
-        for b in g.vertices:
-            joined = words.ZERO
-            for factor in factors:
-                i, j = factor["image"][a], factor["image"][b]
-                u = factor["word"]
-                seg = u[i:j] if i <= j else words.involute_word(u[j:i])
-                joined = joined.join(words.principal(seg))
-            _expect(
-                joined == table[a, b],
-                f"the factor distances do not reproduce d({a!r},{b!r})",
-            )
+    factors = [
+        FactorMap(tuple(f["pair"]), f["word"], tuple(sorted(f["image"].items())))
+        for f in _cert_field(cert, "factors")
+    ]
+    violation = embedding_violation(g.vertices, table, factors)
+    _expect(violation is None, violation)
 
 
 def _verify_gaps(cert: dict, inputs: _Inputs, args) -> None:
@@ -761,49 +728,28 @@ def _verify_holes(cert: dict, inputs: _Inputs, args) -> None:
 def _verify_demo(cert: dict, inputs: _Inputs, args) -> None:
     doc = inputs.doc
     kind = _cert_field(cert, "kind")
-    fixed = _cert_field(cert, "fixed_points")
     if kind == "fence-retract":
-        demo_maps = list(doc.get("maps", ()))
         product = poset_product(
             [make_fence(o) for o in doc.get("orientations", ())]
         )
-        retraction = doc.get("retraction", {})
-        _expect(
-            sorted(retraction) == list(product.elements),
-            "retraction is not defined on the whole product",
+        sub = doc.get("sub", ())
+        violation = retraction_violation(
+            product.elements, product.lt, sub, doc.get("retraction", {})
         )
-        sub = set(doc.get("sub", ()))
-        _expect(
-            sub <= set(product.elements) and bool(sub),
-            "the retract is not a nonempty subset of the product",
-        )
-        for x, image in retraction.items():
-            _expect(
-                image in sub, f"retraction sends {x!r} outside the retract"
-            )
-        for x in sub:
-            _expect(retraction[x] == x, f"retraction moves {x!r}")
-        for x in product.elements:
-            for y in product.elements:
-                if product.leq(x, y):
-                    _expect(
-                        product.leq(retraction[x], retraction[y]),
-                        f"retraction is not order-preserving at ({x!r},{y!r})",
-                    )
+        _expect(violation is None, violation)
         system = poset_to_vspace(product.restrict(sub)).to_relsys()
-        _verify_fixed_points(system, demo_maps, fixed)
-        _verify_retract_table(
-            system, fixed, _cert_field(cert, "retract_table")
-        )
+        _verify_fixed_set(system, list(doc.get("maps", ())), cert)
         return
     if kind == "zigzag":
         g = _load_digraph(doc.get("graph", {}))
+        factor_words = doc.get("factor_words")
+        if factor_words is not None:
+            violation = product_retract_violation(
+                g, factor_words, doc.get("retraction") or {}
+            )
+            _expect(violation is None, violation)
         space = zigzag_space(g, args.maxlen)
-        system = space.to_relsys()
-        _verify_fixed_points(system, list(doc.get("maps", ())), fixed)
-        _verify_retract_table(
-            system, fixed, _cert_field(cert, "retract_table")
-        )
+        _verify_fixed_set(space.to_relsys(), list(doc.get("maps", ())), cert)
         bounded = cert.get("bounded")
         if bounded is not None:
             diameter = words.UpSet.from_words(bounded["diameter"])

@@ -4,8 +4,8 @@ A system is a finite element set together with a finite family of named
 binary relations.  Balls, centers, covers, diameter and radius sets are
 the basic geometry; on top of it sit the equally-centered / normal
 structure tests, the invariant ball-intersection machinery behind the
-fixed-point solvers, and the ball characterization of one-local
-retracts.
+fixed-point solvers, the ball characterization of one-local
+retracts, and the check that a map retracts a relation onto a subset.
 
 Structure and fixed-point operations require the relation family to be
 closed under inversion (involutive); plain geometry works on any system.
@@ -71,6 +71,28 @@ class SelfMap:
 
     def commutes_with(self, other: "SelfMap") -> bool:
         return self.compose(other) == other.compose(self)
+
+
+def retraction_violation(elements, relation, subset, mapping) -> str | None:
+    """The first reason the mapping fails to retract a reflexive
+    relation on the elements onto the subset, or None when it is a
+    retraction: defined on every element, with image in the subset,
+    fixing the subset and preserving the relation.  The diagonal pairs
+    of the relation may be left out of ``relation``."""
+    if set(mapping) != set(elements):
+        return "the retraction is not defined on the whole product"
+    retract = frozenset(subset)
+    for x in sorted(mapping):
+        if mapping[x] not in retract:
+            return f"the retraction sends {x!r} outside the retract"
+    for x in sorted(retract):
+        if mapping.get(x) != x:
+            return f"the retraction moves the retract element {x!r}"
+    for x, y in sorted(relation):
+        fx, fy = mapping[x], mapping[y]
+        if fx != fy and (fx, fy) not in relation:
+            return f"retraction claim invalid: not a homomorphism at ({x!r}, {y!r})"
+    return None
 
 
 @dataclass(frozen=True)

@@ -967,10 +967,6 @@ class RepleteSpace:
     embedding: VMap
     forms: tuple[tuple[str, RadiusMap], ...]
 
-    @cached_property
-    def forms_dict(self) -> dict[str, RadiusMap]:
-        return dict(self.forms)
-
 
 def replete_space(space: VSpace, cap: int = FORM_CAP) -> RepleteSpace:
     """All metric forms whose balls share a point, with the join of

@@ -150,9 +150,6 @@ class UpSet:
     def member(self, w: str) -> bool:
         return any(is_subword(g, w) for g in self.generators)
 
-    def members_up_to(self, maxlen: int) -> list[str]:
-        return [w for w in words_up_to(maxlen) if self.member(w)]
-
     def leq(self, other: "UpSet") -> bool:
         """Value order: self <= other iff self contains other as a set."""
         return all(self.member(g) for g in other.generators)

@@ -45,7 +45,7 @@ from .errors import (
     InternalCheckError,
     StructureError,
 )
-from .relsys import OLRResult, SelfMap
+from .relsys import OLRResult, SelfMap, retraction_violation
 from .vmetric import CARRIER_CAP, PRODUCT_CAP, VSpace, WordValueMonoid
 from .words import UpSet
 
@@ -576,14 +576,39 @@ def _extend_into_path(
                 f"failed at vertex {z!r}"
             )
         image[z] = admissible[0]
-    for a in g.vertices:
-        for b in g.vertices:
-            if not _segment_value(u, image[a], image[b]).leq(values[a, b]):
-                raise InternalCheckError(
-                    f"extension into the path graph of {u!r} is expansive "
-                    f"at ({a!r}, {b!r})"
-                )
     return image
+
+
+def embedding_violation(
+    vertices, values: Mapping[tuple[str, str], UpSet], factors: Iterable[FactorMap]
+) -> str | None:
+    """The first reason the factor maps fail to embed the distance table
+    isometrically into the product of their path graphs, or None.
+
+    Each factor must map every vertex, send its pair to the start and
+    the end of its word, and be nonexpansive; the join of the factor
+    distances must then reproduce every distance in the table.
+    """
+    factors = list(factors)
+    for f in factors:
+        (x, y), u, image = f.pair, f.word, f.as_dict
+        where = f"factor ({x!r},{y!r},{u!r})"
+        if sorted(image) != sorted(vertices):
+            return f"{where}: image does not cover the vertices"
+        if image.get(x) != 0 or image.get(y) != len(u):
+            return f"{where}: endpoints are not start and end"
+        for a in vertices:
+            for b in vertices:
+                if not _segment_value(u, image[a], image[b]).leq(values[a, b]):
+                    return f"{where}: expansive at ({a!r},{b!r})"
+    for a in vertices:
+        for b in vertices:
+            joined = words.join_all(
+                _segment_value(f.word, f.as_dict[a], f.as_dict[b]) for f in factors
+            )
+            if joined != values[a, b]:
+                return f"the factor distances do not reproduce d({a!r},{b!r})"
+    return None
 
 
 def embed_into_zigzag_product(
@@ -642,16 +667,9 @@ def embed_into_zigzag_product(
         )
         for x, y, u in factor_plan
     )
-    for a in g.vertices:
-        for b in g.vertices:
-            joined = words.join_all(
-                _segment_value(f.word, f.as_dict[a], f.as_dict[b])
-                for f in factors
-            )
-            if joined != values[a, b]:
-                raise InternalCheckError(
-                    f"the product embedding is not isometric at ({a!r}, {b!r})"
-                )
+    violation = embedding_violation(g.vertices, values, factors)
+    if violation is not None:
+        raise InternalCheckError(f"the product embedding fails: {violation}")
     return ZigzagEmbedding(g, factors)
 
 
@@ -728,35 +746,25 @@ class ZigzagFixedPointDemo:
     bounded: BoundedCert | None
 
 
-def _check_retraction(
+def product_retract_violation(
     g: Digraph, factor_words: Iterable[str], retraction: Mapping[str, str]
-) -> None:
+) -> str | None:
+    """The first reason the retraction fails to exhibit the digraph as a
+    retract of the product of the path graphs of the factor words, or
+    None: the digraph must be the induced subgraph of the product on its
+    vertices, and the retraction is checked by
+    :func:`.relsys.retraction_violation`."""
     product = digraph_product(
         [zigzag_from_word(w).graph for w in factor_words]
     )
-    for v in g.vertices:
-        product._check_vertex(v)
-    if g != product.restrict(g.vertices):
-        raise InputError(
+    if not g._members <= product._members or g != product.restrict(g.vertices):
+        return (
             "the digraph must be the induced subgraph of the product on "
             "its vertices"
         )
-    rd = dict(retraction)
-    if sorted(rd) != list(product.vertices):
-        raise InputError("the retraction must be defined on the whole product")
-    for v, image in rd.items():
-        if image not in g._members:
-            raise InputError(
-                f"the retraction sends {v!r} outside the digraph"
-            )
-    for v in g.vertices:
-        if rd[v] != v:
-            raise InputError(f"the retraction moves the digraph vertex {v!r}")
-    for x, y in product.arcs:
-        if (rd[x], rd[y]) not in product.arcs:
-            raise InputError(
-                f"the retraction is not arc-preserving at ({x!r}, {y!r})"
-            )
+    return retraction_violation(
+        product.vertices, product.arcs, g.vertices, dict(retraction)
+    )
 
 
 def zigzag_fixed_point_demo(
@@ -786,7 +794,9 @@ def zigzag_fixed_point_demo(
     space = zigzag_space(g, maxlen)
     bounded: BoundedCert | None = None
     if factor_words is not None:
-        _check_retraction(g, factor_words, retraction)
+        violation = product_retract_violation(g, factor_words, retraction)
+        if violation is not None:
+            raise InputError(violation)
         route = "retract"
     else:
         ok, witness = space.check_axioms()

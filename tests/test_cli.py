@@ -381,6 +381,44 @@ def test_fixpoint_cert_tamper_detected(tmp_path):
     assert "fixed points" in vout["detail"]
 
 
+FENCE_VEE_DEMO = {
+    "kind": "fence-retract",
+    "orientations": ["+-", "+"],
+    "sub": ["v0|v0", "v1|v0", "v2|v0"],
+    "retraction": {f"v{i}|v{j}": f"v{i}|v0" for i in range(3) for j in range(2)},
+    "maps": [{"v0|v0": "v0|v0", "v1|v0": "v1|v0", "v2|v0": "v1|v0"}],
+}
+
+
+@pytest.mark.parametrize("tamper", ["anchor", "drop"])
+@pytest.mark.parametrize(
+    "doc, mapping",
+    [
+        (VEE_GRAPH, {"0": "0", "1": "1", "2": "1"}),
+        (CHAIN_POSET, {"a": "a", "b": "a", "c": "c"}),
+        (FENCE_VEE_DEMO, None),
+    ],
+    ids=["digraph", "poset", "fence-retract"],
+)
+def test_retract_table_tamper_detected(tmp_path, doc, mapping, tamper):
+    command = "demo" if mapping is None else "fixpoint"
+    argv = [command, "--input", write(tmp_path, "in.json", doc)]
+    if mapping is not None:
+        argv += ["--maps", write(tmp_path, "m.json", mapping)]
+    code, payload, cert = run_to_file(tmp_path, argv)
+    assert code == 0
+    table = payload["retract_table"]
+    x = min(table)
+    if tamper == "anchor":
+        table[x] = next(a for a in payload["fixed_points"] if a != table[x])
+    else:
+        del table[x]
+    Path(cert).write_text(json.dumps(payload))
+    _, vout = verify(tmp_path, cert)
+    assert vout["verdict"] is False
+    assert "retract table" in vout["detail"]
+
+
 # ----------------------------------------------------------------- embed
 
 
@@ -554,6 +592,44 @@ def test_demo_fence_retract(tmp_path):
     assert payload["product_size"] == 4
     vcode, vout = verify(tmp_path, cert)
     assert vcode == 0 and vout["verdict"] is True
+
+
+def test_demo_fence_retract_without_normal_structure(tmp_path, capsys):
+    # the slice v*|v0 of the product of the fences +-+ and + is the fence
+    # +-+, whose order space has an equally-centered ball intersection
+    sub = [f"v{i}|v0" for i in range(4)]
+    doc = {
+        "kind": "fence-retract",
+        "orientations": ["+-+", "+"],
+        "sub": sub,
+        "retraction": {f"v{i}|v{j}": f"v{i}|v0" for i in range(4) for j in range(2)},
+        "maps": [{s: s for s in sub}],
+    }
+    path = write(tmp_path, "d.json", doc)
+    assert main(["demo", "--input", path]) == 4
+    assert "equally centered" in capsys.readouterr().err
+
+
+def test_verify_rechecks_the_retract_route(tmp_path):
+    doc = {
+        "kind": "zigzag",
+        "graph": {
+            "vertices": ["0|0", "1|0"],
+            "arcs": [["0|0", "1|0"]],
+            "add_loops": True,
+        },
+        "factor_words": ["+", "-"],
+        "retraction": {"0|0": "0|0", "1|0": "1|0", "0|1": "0|0", "1|1": "1|0"},
+        "maps": [{"0|0": "0|0", "1|0": "0|0"}],
+    }
+    path = write(tmp_path, "d.json", doc)
+    code, _, cert = run_to_file(tmp_path, ["demo", "--input", path])
+    assert code == 0
+    doc["retraction"]["1|0"] = "0|0"
+    write(tmp_path, "d.json", doc)
+    _, vout = verify(tmp_path, cert)
+    assert vout["verdict"] is False
+    assert "moves" in vout["detail"]
 
 
 def test_demo_unknown_kind(tmp_path, capsys):
