@@ -13,8 +13,8 @@ The package is organised in layers:
 - :mod:`relmetric.vmetric` — metric spaces over involutive value
   monoids: axioms, hyperconvexity, holes, canonical embeddings and
   the four-value monoid whose spaces are the partial orders.
-- :mod:`relmetric.poset` — gaps, complete-lattice detection, lattice
-  fixed-point solvers and retracts of fence products.
+- :mod:`relmetric.poset` — gaps, complete-lattice detection, the
+  Tarski fixed-point solver and retracts of fence products.
 - :mod:`relmetric.zigzag` — reflexive digraphs with word-valued
   zigzag distances, products of path graphs, isometric product
   embeddings and boundedness over cut values.

@@ -26,7 +26,6 @@ from typing import Any
 
 from . import words
 from .errors import (
-    CapError,
     HypothesisError,
     InputError,
     InternalCheckError,
@@ -121,19 +120,55 @@ def _sniff(doc: Any, path: str) -> str:
     )
 
 
-def _load_digraph(doc: dict) -> Digraph:
+def _object(value: Any, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise InputError(f"{path}: expected a JSON object")
+    return value
+
+
+def _names(value: Any, path: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{path}: expected a list of names")
+    for i, name in enumerate(value):
+        if not isinstance(name, str):
+            raise InputError(f"{path}[{i}]: expected a name (a string), got {name!r}")
+    return value
+
+
+def _pairs(value: Any, path: str) -> list[tuple]:
+    if not isinstance(value, list):
+        raise InputError(f"{path}: expected a list of pairs")
+    for i, pair in enumerate(value):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise InputError(f"{path}[{i}]: expected a pair of names, got {pair!r}")
+        _names(pair, f"{path}[{i}]")
+    return [tuple(pair) for pair in value]
+
+
+def _load_digraph(doc: dict, path: str = "") -> Digraph:
     return Digraph.make(
-        doc.get("vertices", ()), doc.get("arcs", ()), bool(doc.get("add_loops"))
+        _names(doc.get("vertices", []), f"{path}vertices"),
+        _pairs(doc.get("arcs", []), f"{path}arcs"),
+        bool(doc.get("add_loops")),
     )
 
 
 def _load_poset(doc: dict) -> Poset:
-    covers = [tuple(pair) for pair in doc.get("covers", ())]
-    return Poset.make(doc.get("elements", ()), covers)
+    return Poset.make(
+        _names(doc.get("elements", []), "elements"),
+        _pairs(doc.get("covers", []), "covers"),
+    )
 
 
 def _load_relsys(doc: dict) -> RelSys:
-    return RelSys.make(doc.get("elements", ()), doc.get("relations", {}))
+    relations = _object(doc.get("relations", {}), "relations")
+    return RelSys.make(
+        _names(doc.get("elements", []), "elements"),
+        {
+            name: _pairs(pairs, f"relations.{name}")
+            for name, pairs in relations.items()
+        },
+    )
 
 
 def _split_pair_key(key: str) -> tuple[str, str]:
@@ -148,22 +183,34 @@ def _load_vspace(doc: dict, monoid_override: str | None) -> VSpace:
     if monoid_spec is None:
         raise InputError("the space file needs a 'monoid' field")
     raw = {
-        _split_pair_key(key): value for key, value in doc.get("dist", {}).items()
+        _split_pair_key(key): value
+        for key, value in _object(doc.get("dist", {}), "dist").items()
     }
     if monoid_spec == "V4":
         monoid = v4_monoid()
         dist = raw
     elif monoid_spec == "word-algebra":
+        for (x, y), text in raw.items():
+            if not isinstance(text, str):
+                raise InputError(
+                    f"dist.{x},{y}: expected a string holding a JSON array "
+                    f"of words, got {text!r}"
+                )
         values = {pair: parse_word_value(text) for pair, text in raw.items()}
         bound = doc.get("oplus_length_bound")
         monoid = WordValueMonoid.from_values(set(values.values()), bound)
         dist = values
     elif isinstance(monoid_spec, dict):
         monoid = TableMonoid.make(
-            monoid_spec.get("carrier", ()),
-            [tuple(pair) for pair in monoid_spec.get("leq", ())],
-            {_split_pair_key(k): v for k, v in monoid_spec.get("oplus", {}).items()},
-            monoid_spec.get("involution", {}),
+            _names(monoid_spec.get("carrier", []), "monoid.carrier"),
+            _pairs(monoid_spec.get("leq", []), "monoid.leq"),
+            {
+                _split_pair_key(k): v
+                for k, v in _object(
+                    monoid_spec.get("oplus", {}), "monoid.oplus"
+                ).items()
+            },
+            _object(monoid_spec.get("involution", {}), "monoid.involution"),
         )
         dist = raw
     else:
@@ -171,7 +218,7 @@ def _load_vspace(doc: dict, monoid_override: str | None) -> VSpace:
             f"unknown monoid {monoid_spec!r}: expected 'V4', 'word-algebra', or "
             "an inline table"
         )
-    return VSpace.make(doc.get("elements", ()), monoid, dist)
+    return VSpace.make(_names(doc.get("elements", []), "elements"), monoid, dist)
 
 
 class _Inputs:
@@ -498,7 +545,7 @@ def _run_demo(args):
         graph_doc = doc.get("graph")
         if not isinstance(graph_doc, dict):
             raise InputError("the zigzag demo needs a 'graph' object")
-        g = _load_digraph(graph_doc)
+        g = _load_digraph(graph_doc, "graph.")
         maps = [_selfmap_doc(m, inputs.path) for m in doc.get("maps", ())]
         demo = zigzag_fixed_point_demo(
             g,
@@ -741,7 +788,7 @@ def _verify_demo(cert: dict, inputs: _Inputs, args) -> None:
         _verify_fixed_set(system, list(doc.get("maps", ())), cert)
         return
     if kind == "zigzag":
-        g = _load_digraph(doc.get("graph", {}))
+        g = _load_digraph(_object(doc.get("graph", {}), "graph"), "graph.")
         factor_words = doc.get("factor_words")
         if factor_words is not None:
             violation = product_retract_violation(

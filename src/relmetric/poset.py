@@ -3,10 +3,10 @@
 A poset is a space over the four-value monoid: 0 on the diagonal, +
 strictly below, - strictly above, 1 between incomparable points, and
 the translation goes both ways.  On top of the translation this module
-provides complete-lattice and chain-completeness detection, gaps (pairs
-of subsets with nothing in between, the order-side picture of holes),
-the Tarski and Abian-Brown fixed-point solvers, fences, products, and
-the retract-of-fence-products demonstration.
+provides complete-lattice detection, gaps (pairs of subsets with
+nothing in between, the order-side picture of holes), the Tarski
+fixed-point solver, fences, products, and the retract-of-fence-products
+demonstration.
 """
 
 from __future__ import annotations
@@ -138,23 +138,6 @@ class Poset:
             self.sup([x, y]) is not None and self.inf([x, y]) is not None
             for x, y in combinations(self.elements, 2)
         )
-
-    def is_chain(self, subset) -> bool:
-        a = self._check_subset(subset)
-        return all(
-            self.leq(x, y) or self.leq(y, x) for x, y in combinations(sorted(a), 2)
-        )
-
-    def is_chain_complete(self, cap: int = 4096) -> bool:
-        """Every nonempty chain has a join and a meet, by enumeration."""
-        if 2 ** len(self.elements) > cap:
-            raise CapError(f"chain enumeration over {len(self.elements)} elements")
-        for size in range(1, len(self.elements) + 1):
-            for combo in combinations(self.elements, size):
-                if self.is_chain(combo):
-                    if self.sup(combo) is None or self.inf(combo) is None:
-                        return False
-        return True
 
     def restrict(self, subset) -> "Poset":
         a = self._check_subset(subset)
@@ -338,31 +321,6 @@ def tarski_common_fixed_points(p: Poset, maps) -> tuple[str, ...]:
     if not p.restrict(direct).is_complete_lattice():
         raise InternalCheckError("the common fixed set must be a complete lattice")
     return tuple(sorted(direct))
-
-
-def abian_brown_fixed_point(p: Poset, mapping) -> str:
-    """Iterate an order-preserving map from the least element up to the
-    least fixed point."""
-    f = _as_selfmap(p, mapping)
-    if not p.is_chain_complete():
-        raise HypothesisError("the poset is not chain complete")
-    bottom = p.bottom
-    if bottom is None:
-        raise HypothesisError("the poset has no least element")
-    x = bottom
-    for _ in range(len(p.elements) + 1):
-        nxt = f(x)
-        if nxt == x:
-            for y in p.elements:
-                if f(y) == y and not p.leq(x, y):
-                    raise InternalCheckError(
-                        "iteration did not reach the least fixed point"
-                    )
-            return x
-        if not p.leq(x, nxt):
-            raise InternalCheckError("the iteration left the increasing chain")
-        x = nxt
-    raise InternalCheckError("iteration failed to stabilize")
 
 
 # ------------------------------------------------------ fences and products

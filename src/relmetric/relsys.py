@@ -3,9 +3,9 @@
 A system is a finite element set together with a finite family of named
 binary relations.  Balls, centers, covers, diameter and radius sets are
 the basic geometry; on top of it sit the equally-centered / normal
-structure tests, the invariant ball-intersection machinery behind the
-fixed-point solvers, the ball characterization of one-local
-retracts, and the check that a map retracts a relation onto a subset.
+structure tests, the common fixed-point set of a commuting family of
+endomorphisms, the ball characterization of one-local retracts, and
+the check that a map retracts a relation onto a subset.
 
 Structure and fixed-point operations require the relation family to be
 closed under inversion (involutive); plain geometry works on any system.
@@ -294,93 +294,7 @@ class RelSys:
             if self.is_endomorphism(f):
                 yield f
 
-    # ------------------------------------------------ invariant ball sets
-
-    def invariant_ballset_members(self, f: SelfMap, cap: int = BALLSET_CAP):
-        return tuple(
-            m
-            for m in self.ball_intersections(cap)
-            if f.image(m.support) <= m.support
-        )
-
-    def descend_invariant(self, f: SelfMap, cap: int = BALLSET_CAP) -> frozenset[str]:
-        """Shrink E to an invariant ball intersection: alternately
-        replace A by cov(f(A)) and by center(A, r) & A for radius
-        relations r, in relation-name order, until stable.
-
-        The result is invariant, a ball intersection, and equally
-        centered; stability of the cover step is needed before the
-        center steps so that they stay invariant.
-        """
-        if not self.is_involutive:
-            raise StructureError("descent needs an involutive relation family")
-        if not self.is_endomorphism(f):
-            raise InputError("descent needs an endomorphism")
-        a = frozenset(self.elements)
-        while True:
-            covered = self.cov(f.image(a))
-            if covered != a:
-                a = covered
-                continue
-            for rname in sorted(self.radius_set(a)):
-                smaller = self.center(a, rname) & a
-                if smaller and smaller != a:
-                    a = smaller
-                    break
-            else:
-                return a
-
-    def minimal_invariant_ballset(
-        self, f: SelfMap, cap: int = BALLSET_CAP
-    ) -> BallSetMember:
-        """A minimal nonempty ball intersection A with f(A) inside A.
-
-        Ties between minimal candidates are broken by lexicographically
-        least support, so the result does not depend on relation
-        naming.  The descent is run as a cross-check: it must land on
-        an invariant member containing a minimal one.
-        """
-        if not self.is_involutive:
-            raise StructureError(
-                "minimal invariant ball sets need an involutive relation family"
-            )
-        if not self.is_endomorphism(f):
-            raise InputError("not an endomorphism")
-        invariant = self.invariant_ballset_members(f, cap)
-        if not invariant:
-            raise InternalCheckError("E itself should be invariant")
-        supports = [m.support for m in invariant]
-        minimal = [
-            m
-            for m in invariant
-            if not any(s < m.support for s in supports)
-        ]
-        best = min(minimal, key=lambda m: _support_key(m.support))
-        descended = self.descend_invariant(f, cap)
-        if descended not in supports:
-            raise InternalCheckError("descent left the invariant ball sets")
-        return best
-
     # --------------------------------------------------------- fixed points
-
-    def fixed_point(self, f: SelfMap, cap: int = BALLSET_CAP) -> str:
-        """A fixed point of an endomorphism of an involutive system with
-        normal structure."""
-        ok, witness = self.has_normal_structure(cap)
-        if not ok:
-            raise HypothesisError(
-                f"no normal structure: {sorted(witness)} is equally centered"
-            )
-        member = self.minimal_invariant_ballset(f, cap)
-        if len(member.support) != 1:
-            raise InternalCheckError(
-                "minimal invariant ball set is not a singleton despite "
-                "normal structure"
-            )
-        (x,) = member.support
-        if f(x) != x:
-            raise InternalCheckError("singleton invariant set is not fixed")
-        return x
 
     def common_fixed_points(
         self, maps, cap: int = BALLSET_CAP
@@ -470,62 +384,3 @@ class RelSys:
             if ok:
                 return True
         return False
-
-    def chain_intersection_is_olr(self, chain) -> OLRResult:
-        """Verify that the intersection of a descending chain of
-        one-local retracts is again one; reports which chain member
-        breaks the hypothesis otherwise."""
-        chain = [frozenset(c) for c in chain]
-        for prev, nxt in zip(chain, chain[1:]):
-            if not nxt <= prev:
-                raise InputError("chain is not descending")
-        for i, c in enumerate(chain):
-            if not self.is_one_local_retract(c).ok:
-                raise HypothesisError(f"chain member {i} is not a one-local retract")
-        inter = frozenset(self.elements)
-        for c in chain:
-            inter &= c
-        return self.is_one_local_retract(inter)
-
-    # ------------------------------------------------- invariant relations
-
-    def invariant_binary_relations(self, maps, cap: int = 3):
-        """All binary relations preserved by every map, with the closure
-        laws (diagonal, intersections, unions, composition, inversion)
-        verified on the result."""
-        n = len(self.elements)
-        if n > cap:
-            raise CapError(f"invariant relation enumeration capped at {cap} elements")
-        maps = list(maps)
-        cells = [(x, y) for x in self.elements for y in self.elements]
-        preserved = []
-        for bits in product((False, True), repeat=len(cells)):
-            rel = frozenset(c for c, b in zip(cells, bits) if b)
-            if all(
-                (f(x), f(y)) in rel for f in maps for x, y in rel
-            ):
-                preserved.append(rel)
-        family = frozenset(preserved)
-        diag = frozenset((x, x) for x in self.elements)
-        full = frozenset(cells)
-        checks = [diag in family, full in family, frozenset() in family]
-        succ = {}
-        for r in family:
-            checks.append(frozenset((y, x) for x, y in r) in family)
-            by_src: dict[str, set] = {}
-            for x, y in r:
-                by_src.setdefault(x, set()).add(y)
-            succ[r] = by_src
-        for r, s in product(family, repeat=2):
-            checks.append(r & s in family)
-            checks.append(r | s in family)
-            comp = frozenset(
-                (x, z)
-                for x, ys in succ[r].items()
-                for y in ys
-                for z in succ[s].get(y, ())
-            )
-            checks.append(comp in family)
-        if not all(checks):
-            raise InternalCheckError("invariant relations are not closed as expected")
-        return tuple(sorted(family, key=lambda r: (len(r), tuple(sorted(r)))))

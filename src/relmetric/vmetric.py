@@ -19,8 +19,7 @@ Provided here:
   products, and the canonical isometric embedding given by distance
   profiles;
 * holes (radius maps whose balls miss a common point), hole images
-  under maps, the hole-preservation test, and the replete space of
-  metric forms with its point embedding.
+  under maps, and the hole-preservation test.
 
 Checks that quantify over values range over the monoid's finite
 carrier; for word values every verdict is relative to that closed set.
@@ -73,9 +72,6 @@ class ValueMonoid:
             return self._index[v]
         except (KeyError, TypeError):
             raise InputError(f"value {v!r} is not in the carrier") from None
-
-    def lt(self, a, b) -> bool:
-        return a != b and self.leq(a, b)
 
     def meet_all(self, values: Iterable):
         out = None
@@ -329,8 +325,8 @@ class WordValueMonoid(ValueMonoid):
     by reverse inclusion, meet by union, join by minimal common
     superwords, ``oplus`` by concatenation, involution by reverse and
     flip, distance by residuals, accessibility by the one-word witness
-    search.  The carrier only fixes the finite range for radii, holes
-    and forms: it contains the seed values plus 0 and top, is closed
+    search.  The carrier only fixes the finite range for radii and
+    holes: it contains the seed values plus 0 and top, is closed
     under involution, meets and joins, and contains pairwise products
     whose generators respect the length bound.
     """
@@ -855,44 +851,6 @@ def hole_image(radii: RadiusMap, vmap: VMap) -> RadiusMap:
     return RadiusMap.make(out, vmap.target.elements)
 
 
-def ball_family_radii(space: VSpace, family) -> RadiusMap:
-    """The canonical radius map of a ball family.
-
-    Each point x receives the meet of the carrier radii r such that
-    some family ball fits inside B(x, r).  The intersection of the
-    canonical balls provably equals the intersection of the family;
-    this equality is re-verified and a failure raises.
-    """
-    m = space.monoid
-    fam = []
-    for center, radius in family:
-        if center not in space.elements:
-            raise InputError(f"unknown ball center {center!r}")
-        if not m.contains(radius):
-            raise InputError("family radii must lie in the carrier")
-        fam.append((center, radius))
-    fam_balls = [space.ball(x, v) for x, v in fam]
-    out = {}
-    for x in space.elements:
-        out[x] = m.meet_all(
-            r
-            for r in m.carrier
-            if any(b <= space.ball(x, r) for b in fam_balls)
-        )
-    rm = RadiusMap.make(out, space.elements)
-    left = set(space.elements)
-    for b in fam_balls:
-        left &= b
-    right = set(space.elements)
-    for x in space.elements:
-        right &= space.ball(x, out[x])
-    if left != right:
-        raise InternalCheckError(
-            "canonical ball-family radii do not reproduce the intersection"
-        )
-    return rm
-
-
 # ------------------------------------------------------- canonical embedding
 
 
@@ -932,83 +890,3 @@ def canonical_embedding(space: VSpace) -> CanonicalEmbedding:
                 )
     image = VSpace(els, m, dict(space.dist))
     return CanonicalEmbedding(space, image, tuple(profiles[x] for x in els))
-
-
-# --------------------------------------------------------------- metric forms
-
-
-def is_weak_metric_form(space: VSpace, radii: RadiusMap) -> bool:
-    """``d(x,y) <= h(x) (+) involute(h(y))`` for all pairs."""
-    m = space.monoid
-    rd = radii.as_dict
-    return all(
-        m.leq(space.d(x, y), m.oplus(rd[x], m.involute(rd[y])))
-        for x in space.elements
-        for y in space.elements
-    )
-
-
-def is_metric_form(space: VSpace, radii: RadiusMap) -> bool:
-    """A weak metric form with ``h(x) <= d(x,y) (+) h(y)`` as well."""
-    m = space.monoid
-    rd = radii.as_dict
-    return is_weak_metric_form(space, radii) and all(
-        m.leq(rd[x], m.oplus(space.d(x, y), rd[y]))
-        for x in space.elements
-        for y in space.elements
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class RepleteSpace:
-    """The space of realizable metric forms with the sup distance."""
-
-    space: VSpace
-    embedding: VMap
-    forms: tuple[tuple[str, RadiusMap], ...]
-
-
-def replete_space(space: VSpace, cap: int = FORM_CAP) -> RepleteSpace:
-    """All metric forms whose balls share a point, with the join of
-    coordinatewise monoid distances; the point embedding sends x to
-    the form ``y -> d(y, x)`` and is verified hole-preserving."""
-    m = space.monoid
-    els = space.elements
-    total = len(m.carrier) ** len(els)
-    if total > cap:
-        raise CapError(f"form enumeration needs {total} candidates (cap {cap})")
-    kept: list[RadiusMap] = []
-    for combo in iter_product(m.carrier, repeat=len(els)):
-        rm = RadiusMap(tuple(zip(els, combo)))
-        if is_metric_form(space, rm) and not space.is_hole(rm):
-            kept.append(rm)
-    width = len(str(len(kept) - 1))
-    names = [f"h{i:0{width}d}" for i in range(len(kept))]
-    matrix = {}
-    for i, hi in enumerate(kept):
-        for j, hj in enumerate(kept):
-            matrix[names[i], names[j]] = m.join_all(
-                m.dist(hi.as_dict[x], hj.as_dict[x]) for x in els
-            )
-    form_monoid = m
-    if not all(m.contains(v) for v in matrix.values()):
-        if not isinstance(m, WordValueMonoid):
-            raise InternalCheckError("table monoid distances left the carrier")
-        form_monoid = WordValueMonoid.from_values(
-            set(m.carrier) | set(matrix.values()), m.oplus_length_bound
-        )
-    replete = VSpace.make(names, form_monoid, matrix)
-    by_radii = {rm.radii: names[i] for i, rm in enumerate(kept)}
-    delta = {}
-    for x in els:
-        profile = tuple((y, space.d(y, x)) for y in els)
-        try:
-            delta[x] = by_radii[profile]
-        except KeyError:
-            raise InternalCheckError(
-                f"the distance form of {x!r} is missing from the enumeration"
-            ) from None
-    embedding = VMap.make(space, replete, delta)
-    if not embedding.is_hole_preserving(cap):
-        raise InternalCheckError("the point embedding failed to preserve holes")
-    return RepleteSpace(replete, embedding, tuple(zip(names, kept)))

@@ -34,7 +34,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .errors import CapError, InputError, InternalCheckError
+from .errors import CapError, InputError
 
 ALPHABET = "+-"
 _FLIP = str.maketrans("+-", "-+")
@@ -79,16 +79,6 @@ def minimal_words(words: Iterable[str]) -> tuple[str, ...]:
     for w in ordered:
         # Any strict subword of w is shorter, hence already seen.
         if not any(is_subword(m, w) for m in keep):
-            keep.append(w)
-    return tuple(sorted(keep))
-
-
-def maximal_words(words: Iterable[str]) -> tuple[str, ...]:
-    """The subword-maximal elements of a finite set, sorted."""
-    ordered = sorted(set(words), key=lambda w: (-len(w), w))
-    keep: list[str] = []
-    for w in ordered:
-        if not any(is_subword(w, m) for m in keep):
             keep.append(w)
     return tuple(sorted(keep))
 
@@ -154,9 +144,6 @@ class UpSet:
         """Value order: self <= other iff self contains other as a set."""
         return all(self.member(g) for g in other.generators)
 
-    def lt(self, other: "UpSet") -> bool:
-        return self != other and self.leq(other)
-
     def meet(self, other: "UpSet") -> "UpSet":
         """Greatest lower bound: union of the two segments."""
         return UpSet(minimal_words(self.generators + other.generators))
@@ -207,13 +194,6 @@ ZERO = UpSet(("",))
 def principal(w: str) -> UpSet:
     """The up-set of all superwords of a single word."""
     return UpSet((check_word(w),))
-
-
-def meet_all(values: Iterable[UpSet]) -> UpSet:
-    out = TOP
-    for v in values:
-        out = out.meet(v)
-    return out
 
 
 def join_all(values: Iterable[UpSet]) -> UpSet:
@@ -302,34 +282,6 @@ def in_macneille(u: UpSet) -> bool:
     if u.is_top:
         return True
     return upper_cone(lower_cone(u.generators)) == u
-
-
-def accessibility_witness(u: UpSet) -> UpSet | None:
-    """A value r with ``not u.leq(r)`` and ``u.leq(concat(r, involute(r)))``,
-    or None when u is inaccessible.
-
-    Only cones (see ``in_macneille``) are accepted.  ZERO and TOP are
-    the inaccessible cones; every other cone is the upper cone of the
-    maximal elements X of its lower cone.  For a single maximal word the
-    witness is the principal up-set of that word with its last letter
-    flipped; for several, one word acts as pivot and the witness is the
-    join of its flipped principal with the cone of the rest.  All pivots
-    are tried and the constructed value is verified directly.
-    """
-    if not in_macneille(u):
-        raise InputError("not a MacNeille element")
-    if u.is_zero or u.is_top:
-        return None
-    base = maximal_words(lower_cone(u.generators))
-    if upper_cone(base) != u:
-        raise InternalCheckError("cone does not regenerate from its base")
-    for pivot in sorted(base, key=lambda w: (len(w), w)):
-        flipped = pivot[:-1] + pivot[-1].translate(_FLIP)
-        rest = upper_cone(w for w in base if w != pivot)
-        r = principal(flipped).join(rest) if len(base) > 1 else principal(flipped)
-        if not u.leq(r) and u.leq(r.concat(r.involute())):
-            return r
-    raise InternalCheckError(f"no accessibility witness found for {u}")
 
 
 def principal_accessibility_witness(u: UpSet) -> str | None:

@@ -13,14 +13,13 @@ the assignment satisfies the axioms of :mod:`.vmetric` spaces.
 Provided here:
 
 * :class:`Digraph`, products, and the path graphs of words
-  (:func:`zigzag_from_word` / :func:`word_from_zigzag`);
+  (:func:`zigzag_from_word`);
 * membership and generator computation for zigzag distances with an
   automaton-based completeness certificate (:func:`zz_member`,
   :func:`zz_generators`);
-* the bridge to word-valued metric spaces (:func:`zigzag_space`), the
-  arc-preservation/nonexpansiveness comparison, and the test that all
-  distance values are cuts of the completion by cones
-  (:func:`values_in_macneille`);
+* the bridge to word-valued metric spaces (:func:`zigzag_space`) and
+  the test that all distance values are cuts of the completion by
+  cones (:func:`values_in_macneille`);
 * isometric embeddings: prefix cones embed each path graph into the
   value algebra (:func:`claim_zigzag_embedding`), and a digraph whose
   distances are cuts embeds into a finite product of path graphs
@@ -203,49 +202,6 @@ def zigzag_from_word(u: str) -> ZigzagGraph:
     return ZigzagGraph(u, Digraph.make(vs, arcs))
 
 
-def word_from_zigzag(g: Digraph) -> str:
-    """The orientation word of a path-shaped reflexive digraph.
-
-    The symmetric hull of the off-diagonal arcs must be a simple path
-    through every vertex, with no two-way arcs.  The two end-to-end
-    readings give a word and its involute; the lexicographically least
-    of the two is returned, so the function inverts
-    :func:`zigzag_from_word` up to that choice.
-    """
-    if not g.is_reflexive:
-        raise InputError("not a zigzag: some loop is missing")
-    if not g.is_oriented:
-        raise InputError("not a zigzag: a two-way arc between distinct vertices")
-    edges = {frozenset(a) for a in g.arcs if a[0] != a[1]}
-    n = len(g.vertices)
-    if len(edges) != n - 1:
-        raise InputError("not a zigzag: the symmetric hull is not a path")
-    if n == 1:
-        return ""
-    adjacent: dict[str, list[str]] = {v: [] for v in g.vertices}
-    for e in edges:
-        x, y = sorted(e)
-        adjacent[x].append(y)
-        adjacent[y].append(x)
-    ends = sorted(v for v, nbrs in adjacent.items() if len(nbrs) == 1)
-    if len(ends) != 2 or any(len(nbrs) > 2 for nbrs in adjacent.values()):
-        raise InputError("not a zigzag: the symmetric hull is not a path")
-    seen = {ends[0]}
-    letters: list[str] = []
-    current = ends[0]
-    while True:
-        fresh = [w for w in adjacent[current] if w not in seen]
-        if not fresh:
-            break
-        letters.append("+" if (current, fresh[0]) in g.arcs else "-")
-        seen.add(fresh[0])
-        current = fresh[0]
-    if len(seen) != n:
-        raise InputError("not a zigzag: the symmetric hull is not connected")
-    ev = "".join(letters)
-    return min(ev, words.involute_word(ev))
-
-
 # ------------------------------------------------------- zigzag distances
 
 
@@ -355,59 +311,6 @@ def all_zigzag_distances(
         for x in g.vertices
         for y in g.vertices
     }
-
-
-# ------------------------------------------- the two structure-preservation
-
-
-@dataclass(frozen=True)
-class HomCheck:
-    """Verdicts for a vertex map between reflexive digraphs.
-
-    ``is_hom``: every arc maps to an arc.  ``nonexpansive``: every
-    image distance lies below the source distance in the value order;
-    None when a truncated distance blocks the verdict.
-    """
-
-    is_hom: bool
-    nonexpansive: bool | None
-
-    @property
-    def agree(self) -> bool | None:
-        if self.nonexpansive is None:
-            return None
-        return self.is_hom == self.nonexpansive
-
-
-def graph_hom_iff_nonexpansive_check(
-    f: Mapping[str, str], g: Digraph, h: Digraph, maxlen: int | None = None
-) -> HomCheck:
-    """Compute arc preservation and nonexpansiveness independently.
-
-    The two properties characterize the same maps, so ``agree`` is the
-    checkable claim; it is None, not False, when a truncated distance
-    leaves the nonexpansiveness verdict open.
-    """
-    if not g.is_reflexive or not h.is_reflexive:
-        raise StructureError("the comparison needs reflexive digraphs")
-    fd = dict(f)
-    if sorted(fd) != list(g.vertices):
-        raise InputError("the map must be defined on exactly the source vertices")
-    for image in fd.values():
-        h._check_vertex(image)
-    is_hom = all((fd[a], fd[b]) in h.arcs for a, b in g.arcs)
-    dist_g = all_zigzag_distances(g, maxlen)
-    dist_h = all_zigzag_distances(h, maxlen)
-    nonexpansive: bool | None = True
-    for (x, y), dxy in dist_g.items():
-        dim = dist_h[fd[x], fd[y]]
-        if not dxy.complete or not dim.complete:
-            nonexpansive = None
-            break
-        if not dim.value.leq(dxy.value):
-            nonexpansive = False
-            break
-    return HomCheck(is_hom, nonexpansive)
 
 
 def values_in_macneille(g: Digraph, maxlen: int | None = None) -> bool | None:
@@ -585,16 +488,24 @@ def embedding_violation(
     """The first reason the factor maps fail to embed the distance table
     isometrically into the product of their path graphs, or None.
 
-    Each factor must map every vertex, send its pair to the start and
-    the end of its word, and be nonexpansive; the join of the factor
+    The table must hold every ordered pair.  Each factor must map every
+    vertex to a position of its path graph, send its pair to the start
+    and the end of its word, and be nonexpansive; the join of the factor
     distances must then reproduce every distance in the table.
     """
+    for a in vertices:
+        for b in vertices:
+            if (a, b) not in values:
+                return f"the distance table lacks d({a!r},{b!r})"
     factors = list(factors)
     for f in factors:
         (x, y), u, image = f.pair, f.word, f.as_dict
         where = f"factor ({x!r},{y!r},{u!r})"
         if sorted(image) != sorted(vertices):
             return f"{where}: image does not cover the vertices"
+        for a, j in sorted(image.items()):
+            if type(j) is not int or not 0 <= j <= len(u):
+                return f"{where}: the image {j!r} of {a!r} is not a path position"
         if image.get(x) != 0 or image.get(y) != len(u):
             return f"{where}: endpoints are not start and end"
         for a in vertices:

@@ -109,11 +109,6 @@ def random_reflexive_digraph(rng: random.Random, n: int, density: float = 0.4):
     return vs, arcs
 
 
-def random_selfmap(rng: random.Random, elements) -> SelfMap:
-    els = sorted(elements)
-    return SelfMap(tuple((x, rng.choice(els)) for x in els))
-
-
 def monotone_selfmaps(elements, lt: frozenset, limit: int | None = None):
     """All order-preserving self-maps of a strict order, deterministic
     order, optionally truncated."""

@@ -10,10 +10,14 @@ instances small enough to enumerate.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import relmetric
 from relmetric.cli import main
 
 VEE_GRAPH = {
@@ -201,6 +205,28 @@ def test_relsys_has_no_distance(tmp_path, capsys):
     path = write(tmp_path, "r.json", doc)
     assert main(["distance", "--input", path, "--from", "x", "--to", "x"]) == 2
     assert "no distance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        (
+            {"elements": ["a", "b"], "relations": {"r": [["a"], ["b", "b"]]}},
+            "relations.r[0]",
+        ),
+        ({"elements": ["x", "y"], "monoid": "V4", "dist": [["x", "y"]]}, "dist"),
+        ({"vertices": [["a"], "b"], "arcs": []}, "vertices[0]"),
+        (
+            {"elements": ["x"], "monoid": "word-algebra", "dist": {"x,x": [""]}},
+            "dist.x,x",
+        ),
+    ],
+    ids=["one-element-pair", "dist-list", "list-vertex", "word-array"],
+)
+def test_malformed_input_names_its_json_path(tmp_path, capsys, doc, path):
+    file = write(tmp_path, "bad.json", doc)
+    assert main(["check", "normal", "--input", file]) == 2
+    assert f"error: {path}: expected" in capsys.readouterr().err
 
 
 def test_monoid_flag_overrides_missing_field(tmp_path):
@@ -459,6 +485,34 @@ def test_embed_cert_image_tamper_detected(tmp_path):
     _, vout = verify(tmp_path, cert)
     assert vout["verdict"] is False
     assert "endpoint" in vout["detail"] or "expansive" in vout["detail"]
+
+
+REFLEXIVE_VEE = {
+    "vertices": ["0", "1", "2"],
+    "arcs": [["0", "0"], ["1", "1"], ["2", "2"], ["0", "1"], ["0", "2"]],
+}
+
+
+def test_embed_cert_missing_distance_detected(tmp_path):
+    path = write(tmp_path, "g.json", REFLEXIVE_VEE)
+    _, payload, cert = run_to_file(tmp_path, ["embed", "--input", path])
+    del payload["distances"]["0,2"]
+    Path(cert).write_text(json.dumps(payload))
+    vcode, vout = verify(tmp_path, cert)
+    assert vcode == 0 and vout["verdict"] is False
+    assert "d('0','2')" in vout["detail"]
+
+
+def test_embed_cert_non_integer_position_detected(tmp_path):
+    path = write(tmp_path, "g.json", REFLEXIVE_VEE)
+    _, payload, cert = run_to_file(tmp_path, ["embed", "--input", path])
+    factor = payload["factors"][0]
+    factor["image"]["1"] = str(factor["image"]["1"])
+    Path(cert).write_text(json.dumps(payload))
+    vcode, vout = verify(tmp_path, cert)
+    assert vcode == 0 and vout["verdict"] is False
+    assert f"factor ({factor['pair'][0]!r},{factor['pair'][1]!r}" in vout["detail"]
+    assert "not a path position" in vout["detail"]
 
 
 # ------------------------------------------------------- gaps and holes
@@ -749,3 +803,18 @@ def test_stdout_when_no_out_flag(tmp_path, capsys):
     assert main(["gaps", "--input", path]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["command"] == "gaps"
+
+
+def test_python_dash_m_runs_the_command():
+    src = str(Path(relmetric.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-m", "relmetric", "--help"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert "usage: relmetric" in done.stdout

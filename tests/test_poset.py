@@ -23,7 +23,6 @@ from relmetric.errors import CapError, HypothesisError, InputError
 from relmetric.poset import (
     Gap,
     Poset,
-    abian_brown_fixed_point,
     all_posets,
     fence_product_retract_demo,
     find_gaps,
@@ -36,7 +35,6 @@ from relmetric.poset import (
     tarski_common_fixed_points,
     vspace_to_poset,
 )
-from relmetric.relsys import SelfMap
 from relmetric.vmetric import VMap, product_space
 
 
@@ -252,11 +250,6 @@ def test_gap_holes_are_holes_of_the_order_space():
         gap_hole(chain2(), Gap(("0",), ("1",)))
 
 
-def test_finite_posets_are_chain_complete():
-    for lt in all_strict_orders(4):
-        assert Poset.make([str(i) for i in range(4)], lt).is_chain_complete()
-
-
 # ----------------------------------------------------------------- solvers
 
 
@@ -298,36 +291,6 @@ def test_tarski_refuses_bad_hypotheses():
     assert g.is_order_preserving(f) and g.is_order_preserving(h)
     with pytest.raises(InputError, match="commute"):
         tarski_common_fixed_points(g, [f, h])
-
-
-def test_abian_brown_frozen_examples():
-    c = chain2()
-    assert abian_brown_fixed_point(c, {"0": "0", "1": "1"}) == "0"
-    assert abian_brown_fixed_point(c, {"0": "1", "1": "1"}) == "1"
-    v = vee()
-    assert abian_brown_fixed_point(v, {x: "v0" for x in v.elements}) == "v0"
-
-
-def test_abian_brown_matches_brute_force_least_fixed_point():
-    rng = random.Random(89)
-    solved = 0
-    for _ in range(30):
-        p = random_poset(rng, 5)
-        if p.bottom is None:
-            continue
-        for f in monotone_selfmaps(p.elements, p.lt, limit=15):
-            got = abian_brown_fixed_point(p, f)
-            fixed = [x for x in p.elements if f(x) == x]
-            assert got in fixed
-            assert all(p.leq(got, y) for y in fixed)
-            solved += 1
-    assert solved > 40
-
-
-def test_abian_brown_needs_a_least_element():
-    anti = Poset.make(["x", "y"], set())
-    with pytest.raises(HypothesisError, match="least"):
-        abian_brown_fixed_point(anti, {"x": "x", "y": "y"})
 
 
 # ------------------------------------------------------ fences and products

@@ -1,5 +1,5 @@
 """Relational-system tests: ball geometry identities, normal structure,
-invariant ball sets, fixed points, one-local retracts."""
+fixed points, one-local retracts."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import random_reflexive_involutive_system, random_selfmap
+from conftest import random_reflexive_involutive_system
 from relmetric.errors import HypothesisError, InputError, StructureError
 from relmetric.relsys import RelSys, SelfMap
 
@@ -136,40 +136,15 @@ def test_normal_structure_examples():
     assert not ok and witness == {"a", "b"}
 
 
-# ----------------------------------------------------------- invariant sets
-
-
-def test_minimal_invariant_identity_tie_break():
-    s = two_chain()
-    ident = SelfMap((("0", "0"), ("1", "1")))
-    m = s.minimal_invariant_ballset(ident)
-    assert m.support == {"0"}
-
-
-def test_minimal_invariant_constant():
-    s = two_chain()
-    const1 = SelfMap((("0", "1"), ("1", "1")))
-    m = s.minimal_invariant_ballset(const1)
-    assert m.support == {"1"}
-
-
-def test_descend_invariant_is_equally_centered():
-    for s in random_systems(17, 15, (2, 5)):
-        for f in [random_selfmap(random.Random(3), s.elements) for _ in range(4)]:
-            if not s.is_endomorphism(f):
-                continue
-            a = s.descend_invariant(f)
-            assert f.image(a) <= a
-            assert s.is_equally_centered(a)
-            assert a in {m.support for m in s.ball_intersections()}
+# ------------------------------------------------------------- fixed points
 
 
 def test_fixed_point_two_chain():
     s = two_chain()
     const1 = SelfMap((("0", "1"), ("1", "1")))
-    assert s.fixed_point(const1) == "1"
+    assert s.common_fixed_points([const1])[0] == {"1"}
     ident = SelfMap((("0", "0"), ("1", "1")))
-    assert s.fixed_point(ident) in {"0", "1"}
+    assert s.common_fixed_points([ident])[0] == {"0", "1"}
 
 
 def test_fixed_point_refuses_without_normal_structure():
@@ -178,7 +153,7 @@ def test_fixed_point_refuses_without_normal_structure():
     swap = SelfMap((("a", "b"), ("b", "a")))
     assert s.is_endomorphism(swap)
     with pytest.raises(HypothesisError):
-        s.fixed_point(swap)
+        s.common_fixed_points([swap])
 
 
 def test_fixed_point_exhaustive_small_normal_systems():
@@ -187,8 +162,8 @@ def test_fixed_point_exhaustive_small_normal_systems():
         if not s.has_normal_structure()[0]:
             continue
         for f in s.endomorphisms():
-            x = s.fixed_point(f)
-            assert f(x) == x
+            fix, olr = s.common_fixed_points([f])
+            assert fix and olr.ok
             seen += 1
     assert seen > 50
 
@@ -279,17 +254,6 @@ def test_whole_set_and_fix_sets_are_olr():
             assert s.is_one_local_retract(fix).ok
 
 
-def test_chain_intersection_olr():
-    s = crown()
-    chain = [frozenset(s.elements), frozenset({"a", "c", "d"}), frozenset({"a", "c"})]
-    for c in chain:
-        assert s.is_one_local_retract(c).ok
-    res = s.chain_intersection_is_olr(chain)
-    assert res.ok
-    with pytest.raises(InputError):
-        s.chain_intersection_is_olr([frozenset({"a"}), frozenset({"a", "b"})])
-
-
 def test_restriction_to_olr_stays_normal():
     # transfer of normal structure to one-local retracts
     for s in random_systems(41, 30, (2, 5)):
@@ -301,24 +265,3 @@ def test_restriction_to_olr_stays_normal():
             if not a or not s.is_one_local_retract(a).ok:
                 continue
             assert s.restrict(a).has_normal_structure()[0]
-
-
-# --------------------------------------------------- invariant binary relations
-
-
-def test_invariant_relations_closure():
-    s = RelSys.make(["0", "1", "2"], {"r": [("0", "1"), ("1", "2"), ("0", "0")]})
-    f = SelfMap((("0", "0"), ("1", "2"), ("2", "2")))
-    rels = s.invariant_binary_relations([f])
-    assert frozenset((x, x) for x in s.elements) in rels
-    assert frozenset((x, y) for x in s.elements for y in s.elements) in rels
-    # every listed relation really is preserved
-    for r in rels:
-        assert all((f(x), f(y)) in r for x, y in r)
-
-
-def test_invariant_relations_of_identity_is_everything():
-    s = RelSys.make(["0", "1"], {"r": []})
-    ident = SelfMap((("0", "0"), ("1", "1")))
-    rels = s.invariant_binary_relations([ident])
-    assert len(rels) == 2 ** 4

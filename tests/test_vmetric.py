@@ -30,15 +30,11 @@ from relmetric.vmetric import (
     VMap,
     VSpace,
     WordValueMonoid,
-    ball_family_radii,
     canonical_embedding,
     hole_image,
-    is_metric_form,
-    is_weak_metric_form,
     monoid_space,
     parse_word_value,
     product_space,
-    replete_space,
     v4_monoid,
     word_space,
 )
@@ -689,76 +685,3 @@ def test_metric_side_olr_agrees_with_relational_side():
         assert mine.ok == theirs.ok
         assert mine.table == theirs.table
         assert mine.violator == theirs.violator
-
-
-def test_ball_family_radii_reproduce_the_intersection():
-    s = diamond_space()
-    rng = random.Random(53)
-    for _ in range(40):
-        fam = [
-            (rng.choice(s.elements), rng.choice(V4.carrier))
-            for _ in range(rng.randint(1, 4))
-        ]
-        rm = ball_family_radii(s, fam)
-        left = set(s.elements)
-        for x, v in fam:
-            left &= s.ball(x, v)
-        right = set(s.elements)
-        for x in s.elements:
-            right &= s.ball(x, rm(x))
-        assert left == right
-    empty = ball_family_radii(s, [])
-    assert all(v == "1" for v in empty.as_dict.values())
-    single = ball_family_radii(two_chain(), [("0", "+")])
-    assert single.as_dict == {"0": "+", "1": "-"}
-
-
-# --------------------------------------------------------------- metric forms
-
-
-def test_point_distance_profiles_are_metric_forms():
-    s = diamond_space()
-    for x in s.elements:
-        rm = RadiusMap.make({y: s.d(y, x) for y in s.elements}, s.elements)
-        assert is_weak_metric_form(s, rm)
-        assert is_metric_form(s, rm)
-        assert not s.is_hole(rm)
-    weak_only = RadiusMap.make(
-        {"0": "1", "a": "1", "b": "1", "1": "1"}, s.elements
-    )
-    assert is_weak_metric_form(s, weak_only)
-
-
-def test_replete_space_of_the_two_chain():
-    rep = replete_space(two_chain())
-    assert len(rep.space.elements) == 8
-    assert rep.space.check_axioms() == (True, None)
-    assert rep.embedding.is_isometry()
-    assert rep.embedding.is_hole_preserving()
-    assert rep.space.is_hyperconvex() == (True, None)
-    for name, rm in rep.forms:
-        assert name in rep.space.elements
-        assert is_metric_form(two_chain(), rm)
-
-
-def test_replete_space_embeds_small_spaces_isometrically():
-    rng = random.Random(59)
-    for _ in range(4):
-        lt = random_strict_order(rng, 3)
-        s = v4_space_from_order([str(i) for i in range(3)], lt)
-        rep = replete_space(s)
-        assert rep.space.check_axioms() == (True, None)
-        assert rep.embedding.is_isometry()
-        assert rep.embedding.is_hole_preserving()
-
-
-def test_replete_space_respects_the_form_cap():
-    with pytest.raises(CapError, match="cap"):
-        replete_space(diamond_space(), cap=200)
-
-
-def test_replete_space_over_word_values():
-    rep = replete_space(pm_word_space())
-    assert rep.space.check_axioms() == (True, None)
-    assert rep.embedding.is_isometry()
-    assert rep.embedding.is_hole_preserving()

@@ -361,30 +361,31 @@ def test_in_macneille_frozen_values():
 # -------------------------------------------------------- accessibility
 
 
+def assert_principal_witness(v: UpSet, w: str) -> None:
+    assert not v.member(w)
+    assert v.member(w + W.involute_word(w))
+    r = principal(w)
+    assert not v.leq(r)
+    assert v.leq(r.concat(r.involute()))
+
+
 def test_accessibility_witness_inaccessible_ends():
-    assert W.accessibility_witness(ZERO) is None
-    assert W.accessibility_witness(TOP) is None
+    assert W.principal_accessibility_witness(ZERO) is None
+    assert W.principal_accessibility_witness(TOP) is None
 
 
 def test_accessibility_witness_principal():
-    r = W.accessibility_witness(principal("+"))
-    assert r == principal("-")
     v = principal("+")
-    assert not v.leq(r)
-    assert v.leq(r.concat(r.involute()))
+    w = W.principal_accessibility_witness(v)
+    assert w == "-"
+    assert_principal_witness(v, w)
 
 
 def test_accessibility_witness_join_case():
     v = W.upper_cone(["+", "-"])
-    r = W.accessibility_witness(v)
-    assert r is not None
-    assert not v.leq(r)
-    assert v.leq(r.concat(r.involute()))
-
-
-def test_accessibility_witness_rejects_non_cones():
-    with pytest.raises(InputError):
-        W.accessibility_witness(UpSet(("+", "-")))
+    w = W.principal_accessibility_witness(v)
+    assert w is not None
+    assert_principal_witness(v, w)
 
 
 def test_accessibility_witness_random_cones():
@@ -396,9 +397,7 @@ def test_accessibility_witness_random_cones():
         if v in seen or v.is_zero or v.is_top:
             continue
         seen.add(v)
-        r = W.accessibility_witness(v)
-        assert not v.leq(r)
-        assert v.leq(r.concat(r.involute()))
+        assert_principal_witness(v, W.principal_accessibility_witness(v))
 
 
 # ------------------------------------------------------------ enumeration
