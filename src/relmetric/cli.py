@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 from typing import Any
 
@@ -126,23 +127,42 @@ def _object(value: Any, path: str) -> dict:
     return value
 
 
+def _list(value: Any, path: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{path}: expected a JSON array")
+    return value
+
+
+def _name(value: Any, path: str) -> str:
+    if not isinstance(value, str):
+        raise InputError(f"{path}: expected a name (a string), got {value!r}")
+    return value
+
+
 def _names(value: Any, path: str) -> list:
     if not isinstance(value, list):
         raise InputError(f"{path}: expected a list of names")
     for i, name in enumerate(value):
-        if not isinstance(name, str):
-            raise InputError(f"{path}[{i}]: expected a name (a string), got {name!r}")
+        _name(name, f"{path}[{i}]")
     return value
+
+
+def _pair(value: Any, path: str) -> tuple:
+    if not isinstance(value, list) or len(value) != 2:
+        raise InputError(f"{path}: expected a pair of names, got {value!r}")
+    return tuple(_names(value, path))
 
 
 def _pairs(value: Any, path: str) -> list[tuple]:
     if not isinstance(value, list):
         raise InputError(f"{path}: expected a list of pairs")
-    for i, pair in enumerate(value):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise InputError(f"{path}[{i}]: expected a pair of names, got {pair!r}")
-        _names(pair, f"{path}[{i}]")
-    return [tuple(pair) for pair in value]
+    return [_pair(pair, f"{path}[{i}]") for i, pair in enumerate(value)]
+
+
+def _word(value: Any, path: str) -> str:
+    if not isinstance(value, str) or value.strip(words.ALPHABET):
+        raise InputError(f"{path}: expected a word over +/-, got {value!r}")
+    return value
 
 
 def _load_digraph(doc: dict, path: str = "") -> Digraph:
@@ -584,14 +604,18 @@ def _expect(condition: bool, where: str) -> None:
         raise _Mismatch(where)
 
 
-def _cert_field(cert: dict, key: str) -> Any:
+def _cert_field(cert: dict, key: str, where: str = "", check=None) -> Any:
+    """The field ``key`` of the certificate object at the JSON path
+    ``where`` (the top level when empty), passed through ``check(value,
+    path)`` when given, such as ``_object`` or ``_names``."""
+    path = f"{where}.{key}" if where else key
     if key not in cert:
-        raise InputError(f"certificate is missing the field {key!r}")
-    return cert[key]
+        raise InputError(f"certificate is missing the field {path!r}")
+    return cert[key] if check is None else check(cert[key], path)
 
 
 def _args_from_cert(cert: dict, input_path: str) -> argparse.Namespace:
-    options = cert.get("options") or {}
+    options = _object(cert.get("options") or {}, "options")
     return argparse.Namespace(
         input=input_path,
         cap=options.get("cap"),
@@ -640,11 +664,11 @@ def _verify_generator_list(g: Digraph, x: str, y: str, gens: list) -> None:
 
 
 def _verify_distance(cert: dict, inputs: _Inputs, args) -> None:
-    x = _cert_field(cert, "from")
-    y = _cert_field(cert, "to")
+    x = _cert_field(cert, "from", check=_name)
+    y = _cert_field(cert, "to", check=_name)
     if inputs.kind == "digraph":
         g = _load_digraph(inputs.doc)
-        _verify_generator_list(g, x, y, _cert_field(cert, "generators"))
+        _verify_generator_list(g, x, y, _cert_field(cert, "generators", check=_names))
     else:
         space = _space_of(inputs, args)
         fresh = _serialize_value(space.monoid, space.d(x, y))
@@ -658,7 +682,7 @@ def _verify_fixed_set(system: RelSys, mappings: list, cert: dict) -> None:
     """The maps are commuting endomorphisms, the certificate lists
     exactly their common fixed points, and its retract table is the
     one-local-retract table of that set."""
-    fixed = _cert_field(cert, "fixed_points")
+    fixed = _cert_field(cert, "fixed_points", check=_names)
     selfmaps = [SelfMap.make(m, system.elements) for m in mappings]
     for i, f in enumerate(selfmaps):
         _expect(
@@ -679,7 +703,7 @@ def _verify_fixed_set(system: RelSys, mappings: list, cert: dict) -> None:
     )
     olr = system.is_one_local_retract(fixed)
     _expect(olr.ok, f"retract table: no valid anchor exists for {olr.violator!r}")
-    table = _cert_field(cert, "retract_table")
+    table = _cert_field(cert, "retract_table", check=_object)
     fresh = olr.table_dict
     for x in sorted(set(table) | set(fresh)):
         _expect(
@@ -691,7 +715,7 @@ def _verify_fixed_set(system: RelSys, mappings: list, cert: dict) -> None:
 
 def _verify_fixpoint(cert: dict, inputs: _Inputs, args) -> None:
     mappings = [
-        _selfmap_doc(_load_json(p), p) for p in _cert_field(cert, "maps")
+        _selfmap_doc(_load_json(p), p) for p in _cert_field(cert, "maps", check=_names)
     ]
     if inputs.kind == "poset":
         system = poset_to_vspace(_load_poset(inputs.doc)).to_relsys()
@@ -717,34 +741,48 @@ def _verify_embed(cert: dict, inputs: _Inputs, args) -> None:
         return
     g = _load_digraph(inputs.doc)
     table = {}
-    for key, gens in _cert_field(cert, "distances").items():
+    for key, gens in _cert_field(cert, "distances", check=_object).items():
         x, y = _split_pair_key(key)
-        _verify_generator_list(g, x, y, gens)
+        _verify_generator_list(g, x, y, _names(gens, f"distances.{key}"))
         table[x, y] = words.UpSet.from_words(gens)
-    factors = [
-        FactorMap(tuple(f["pair"]), f["word"], tuple(sorted(f["image"].items())))
-        for f in _cert_field(cert, "factors")
-    ]
+    factors = []
+    for i, f in enumerate(_cert_field(cert, "factors", check=_list)):
+        where = f"factors[{i}]"
+        f = _object(f, where)
+        pair = _cert_field(f, "pair", where, _pair)
+        word = _cert_field(f, "word", where, _word)
+        image = _cert_field(f, "image", where, _object)
+        factors.append(FactorMap(pair, word, tuple(sorted(image.items()))))
     violation = embedding_violation(g.vertices, table, factors)
     _expect(violation is None, violation)
 
 
+def _gap_parts(gap: dict, where: str) -> tuple[list, list]:
+    """The lower and upper parts of a gap object of a certificate."""
+    return (
+        _cert_field(gap, "lower", where, _names),
+        _cert_field(gap, "upper", where, _names),
+    )
+
+
 def _verify_gaps(cert: dict, inputs: _Inputs, args) -> None:
     p = _poset_of(inputs, args)
-    for entry in _cert_field(cert, "gaps"):
-        lower, upper = entry["lower"], entry["upper"]
+    for i, entry in enumerate(_cert_field(cert, "gaps", check=_list)):
+        where = f"gaps[{i}]"
+        entry = _object(entry, where)
+        lower, upper = _gap_parts(entry, where)
         _expect(
             is_gap(p, lower, upper),
             f"listed pair ({lower}, {upper}) is not a gap",
         )
-        minimal = entry["minimal"]
+        minimal = _cert_field(entry, "minimal", where, _object)
+        min_lower, min_upper = _gap_parts(minimal, f"{where}.minimal")
         _expect(
-            is_gap(p, minimal["lower"], minimal["upper"]),
+            is_gap(p, min_lower, min_upper),
             f"listed minimal pair of ({lower}, {upper}) is not a gap",
         )
         _expect(
-            set(minimal["lower"]) <= set(lower)
-            and set(minimal["upper"]) <= set(upper),
+            set(min_lower) <= set(lower) and set(min_upper) <= set(upper),
             f"minimal pair of ({lower}, {upper}) is not contained in it",
         )
     fresh = p.is_complete_lattice()
@@ -758,17 +796,21 @@ def _verify_gaps(cert: dict, inputs: _Inputs, args) -> None:
 def _verify_holes(cert: dict, inputs: _Inputs, args) -> None:
     p = _poset_of(inputs, args)
     space = poset_to_vspace(p)
-    for entry in _cert_field(cert, "holes"):
-        gap = entry["gap"]
+    for i, entry in enumerate(_cert_field(cert, "holes", check=_list)):
+        where = f"holes[{i}]"
+        entry = _object(entry, where)
+        gap = _cert_field(entry, "gap", where, _object)
+        lower, upper = _gap_parts(gap, f"{where}.gap")
         _expect(
-            is_gap(p, gap["lower"], gap["upper"]),
-            f"listed pair ({gap['lower']}, {gap['upper']}) is not a gap",
+            is_gap(p, lower, upper),
+            f"listed pair ({lower}, {upper}) is not a gap",
         )
-        radii = RadiusMap.make(entry["radii"], space.elements)
+        radii = RadiusMap.make(
+            _cert_field(entry, "radii", where, _object), space.elements
+        )
         _expect(
             space.is_hole(radii),
-            f"the radius map for ({gap['lower']}, {gap['upper']}) is not "
-            "a hole",
+            f"the radius map for ({lower}, {upper}) is not a hole",
         )
 
 
@@ -799,14 +841,16 @@ def _verify_demo(cert: dict, inputs: _Inputs, args) -> None:
         _verify_fixed_set(space.to_relsys(), list(doc.get("maps", ())), cert)
         bounded = cert.get("bounded")
         if bounded is not None:
-            diameter = words.UpSet.from_words(bounded["diameter"])
+            bounded = _object(bounded, "bounded")
+            listed = _cert_field(bounded, "diameter", "bounded", _names)
+            diameter = words.UpSet.from_words(listed)
             fresh = space.diameter()
             _expect(
                 diameter == fresh,
-                f"diameter: certificate has {bounded['diameter']}, input "
+                f"diameter: certificate has {listed}, input "
                 f"gives {list(fresh.generators)}",
             )
-            for name, witness in bounded["witnesses"]:
+            for name, witness in _cert_field(bounded, "witnesses", "bounded", _pairs):
                 value = parse_word_value(name)
                 _expect(
                     not value.member(witness),
@@ -839,11 +883,11 @@ def _run_verify(args):
     cert = _load_json(args.cert)
     if not isinstance(cert, dict):
         raise InputError(f"{args.cert}: expected a certificate object")
-    command = _cert_field(cert, "command")
+    command = _cert_field(cert, "command", check=_name)
     verifier = _VERIFIERS.get(command)
     if verifier is None:
         raise InputError(f"cannot verify certificates of command {command!r}")
-    input_path = args.input if args.input else _cert_field(cert, "input")
+    input_path = args.input if args.input else _cert_field(cert, "input", check=_name)
     if not input_path:
         raise InputError("no input path: pass --input or store it in the cert")
     cert_args = _args_from_cert(cert, input_path)
@@ -880,7 +924,14 @@ _HANDLERS = {
 }
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use.
+
+    Parsing does not change the parser, and the one mutable default,
+    the empty ``--maps`` list, is only read (``list(args.maps)``), so
+    every ``main`` call can share it.
+    """
     parser = argparse.ArgumentParser(
         prog="relmetric",
         description="Analyses and certificates for monoid-valued metric "

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import product as iter_product
+from itertools import islice, product as iter_product
 from typing import Iterable, Mapping
 
 from . import words
@@ -306,6 +306,51 @@ def _upset_key(u: UpSet) -> tuple:
     return tuple((len(g), g) for g in u.generators)
 
 
+def _check_carrier_size(size: int, cap: int) -> None:
+    if size > cap:
+        raise CapError(
+            f"value carrier exceeded {cap} elements; "
+            "raise the cap or trim the seed values"
+        )
+
+
+class _Closure:
+    """Values closed under one commutative operation, grown in rounds.
+
+    Semi-naive: each round adds the pending values as members, one by
+    one, and combines each with the members before it, so every
+    unordered pair is combined exactly once.  Results not seen yet are
+    pending for the next round; they lie in the closure too, so they
+    count towards the cap.
+    """
+
+    def __init__(self, op, cap: int):
+        self.op = op
+        self.cap = cap
+        self.members: list[UpSet] = []
+        self.known: set[UpSet] = set()
+        self.pending: set[UpSet] = set()
+
+    def push(self, values: Iterable[UpSet]) -> None:
+        self.pending.update(v for v in values if v not in self.known)
+        _check_carrier_size(len(self.known) + len(self.pending), self.cap)
+
+    def step(self) -> list[UpSet]:
+        """One round; returns the values it added as members."""
+        frontier = sorted(self.pending, key=_upset_key)
+        self.pending = set()
+        self.known.update(frontier)
+        for u in frontier:
+            earlier = len(self.members)
+            self.members.append(u)
+            for v in islice(self.members, earlier):
+                w = self.op(u, v)
+                if w not in self.known and w not in self.pending:
+                    self.pending.add(w)
+                    _check_carrier_size(len(self.known) + len(self.pending), self.cap)
+        return frontier
+
+
 def parse_word_value(text: str) -> UpSet:
     """Parse a JSON list of generator words into an up-set value."""
     try:
@@ -326,9 +371,42 @@ class WordValueMonoid(ValueMonoid):
     superwords, ``oplus`` by concatenation, involution by reverse and
     flip, distance by residuals, accessibility by the one-word witness
     search.  The carrier only fixes the finite range for radii and
-    holes: it contains the seed values plus 0 and top, is closed
-    under involution, meets and joins, and contains pairwise products
-    whose generators respect the length bound.
+    holes: it is the least set that contains the seed values plus 0 and
+    top, is closed under involution, meets and joins, and contains
+    pairwise products whose generators respect the length bound.
+
+    :meth:`from_values` builds that least set without combining every
+    pair of values by every operation:
+
+    * Meet is union and join is intersection of word sets, so the
+      lattice is distributive.  There the meets of joins of a generating
+      set G already form the sublattice that G generates:
+      ``(a1 & ... & am) | (b1 & ... & bn)`` is the meet of the joins
+      ``ai | bj`` by distributivity.  So the carrier is the meet
+      closure of the join closure of G: joins are only taken between
+      joins of G, and meets between their meets.  The rounds of the two
+      closures alternate, each new join going to the meet closure, so a
+      carrier over the cap is refused before either closure runs out.
+    * The involution reverses and flips every word, so it maps up-sets
+      to up-sets and preserves union and intersection: it is a lattice
+      automorphism.  The sublattice generated by a set closed under the
+      involution is therefore closed under it too, and G starts as the
+      seeds, 0, top and their involutes.
+    * Products are added in semi-naive rounds: a pair of values that
+      were both in the carrier in an earlier round was tried then, so
+      each round only tries pairs with a value new since the last one.
+      The product of two values is reversed and flipped by the
+      involution, so the products of a round are closed under it as
+      well; they join G, and the two closures resume from where they
+      stopped.  A pair is skipped when the shortest generators of the
+      two values are already longer than the bound together, since every
+      generator of the product is at least that long.
+
+    Every set built this way lies inside the least set, and the rounds
+    stop only when the set is closed under all four operations, so the
+    result is that least set, whatever order the values were tried in.
+    The cap is checked as the sets grow, and the closure exceeds it
+    exactly when some intermediate set does.
     """
 
     carrier: tuple[UpSet, ...]
@@ -349,48 +427,40 @@ class WordValueMonoid(ValueMonoid):
             oplus_length_bound = max(
                 2, 2 * max(u.max_generator_len() for u in seeds)
             )
-
-        def grow(pool: set, fresh: set) -> set:
-            frontier = set(fresh) - pool
-            pool = pool | frontier
-            while frontier:
-                if len(pool) > carrier_cap:
-                    raise CapError(
-                        f"value carrier exceeded {carrier_cap} elements; "
-                        "raise the cap or trim the seed values"
-                    )
-                new = set()
-                ordered = sorted(pool, key=_upset_key)
-                for u in sorted(frontier, key=_upset_key):
-                    candidates = [u.involute()]
-                    for v in ordered:
-                        candidates.append(u.meet(v))
-                        candidates.append(u.join(v))
-                    for w in candidates:
-                        if w not in pool:
-                            new.add(w)
-                pool |= new
-                frontier = new
-            if len(pool) > carrier_cap:
-                raise CapError(
-                    f"value carrier exceeded {carrier_cap} elements; "
-                    "raise the cap or trim the seed values"
-                )
-            return pool
-
-        closed = grow(set(), seeds)
-        while True:
-            ordered = sorted(closed, key=_upset_key)
-            produced = set()
-            for u in ordered:
-                for v in ordered:
-                    w = u.concat(v)
-                    if w not in closed and w.max_generator_len() <= oplus_length_bound:
-                        produced.add(w)
-            if not produced:
-                break
-            closed = grow(closed, produced)
-        return WordValueMonoid(tuple(sorted(closed, key=_upset_key)), oplus_length_bound)
+        joins = _Closure(UpSet.join, carrier_cap)
+        lattice = _Closure(UpSet.meet, carrier_cap)
+        joins.push(seeds | {u.involute() for u in seeds})
+        added: list[UpSet] = []
+        while joins.pending or lattice.pending:
+            lattice.push(joins.step())
+            added += lattice.step()
+            if joins.pending or lattice.pending:
+                continue
+            # TOP is absorbing for concatenation and always present.
+            shortest = sorted(
+                (
+                    (min(len(g) for g in v.generators), v)
+                    for v in lattice.members
+                    if not v.is_top
+                ),
+                key=lambda pair: pair[0],
+            )
+            products = set()
+            for u in added:
+                if u.is_top:
+                    continue
+                room = oplus_length_bound - min(len(g) for g in u.generators)
+                for length, v in shortest:
+                    if length > room:
+                        break
+                    for w in (u.concat(v), v.concat(u)):
+                        if w.max_generator_len() <= oplus_length_bound:
+                            products.add(w)
+            joins.push(products - lattice.known)
+            added = []
+        return WordValueMonoid(
+            tuple(sorted(lattice.members, key=_upset_key)), oplus_length_bound
+        )
 
     def merged(self, other: "WordValueMonoid") -> "WordValueMonoid":
         return WordValueMonoid.from_values(
@@ -588,7 +658,11 @@ class VSpace:
         property, with radii drawn from the carrier.
 
         Convexity: whenever ``d(x,y) <= r (+) involute(s)`` the balls
-        B(x,r) and B(y,s) must meet.  The family property: any
+        B(x,r) and B(y,s) must meet.  The scan tests first whether the
+        two balls are disjoint, a set intersection, and only for
+        disjoint balls forms ``r (+) involute(s)`` and compares; the
+        witness is the first pair in the scan order for which both
+        hold, whichever is tested first.  The family property: any
         pairwise-intersecting family of balls has a common point; it is
         enough to inspect maximal cliques of the intersection graph on
         distinct balls, since subfamilies only have larger
@@ -599,18 +673,15 @@ class VSpace:
         for x in self.elements:
             for i, r in enumerate(m.carrier):
                 balls[x, i] = self.ball(x, r)
-        bounds = [
-            [m.oplus(r, m.involute(s)) for s in m.carrier] for r in m.carrier
-        ]
         for x in self.elements:
             for y in self.elements:
                 dxy = self.d(x, y)
                 for i, r in enumerate(m.carrier):
                     bx = balls[x, i]
                     for j, s in enumerate(m.carrier):
-                        if not m.leq(dxy, bounds[i][j]):
+                        if bx & balls[y, j]:
                             continue
-                        if not bx & balls[y, j]:
+                        if m.leq(dxy, m.oplus(r, m.involute(s))):
                             return False, ("convexity", x, y, m.name(r), m.name(s))
         distinct: dict[frozenset[str], tuple[str, str]] = {}
         for x in self.elements:

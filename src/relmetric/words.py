@@ -145,8 +145,29 @@ class UpSet:
         return all(self.member(g) for g in other.generators)
 
     def meet(self, other: "UpSet") -> "UpSet":
-        """Greatest lower bound: union of the two segments."""
-        return UpSet(minimal_words(self.generators + other.generators))
+        """Greatest lower bound: union of the two segments.
+
+        Both antichains are canonical, so a generator stays minimal in
+        the union unless the other antichain holds a subword of it (a
+        proper one for the first side, so that a shared generator is
+        kept once); the two filtered antichains merge without a general
+        reduction.
+        """
+        a, b = self.generators, other.generators
+        keep = []
+        for g in a:
+            for h in b:
+                if len(h) < len(g) and is_subword(h, g):
+                    break
+            else:
+                keep.append(g)
+        for h in b:
+            for g in a:
+                if len(g) <= len(h) and is_subword(g, h):
+                    break
+            else:
+                keep.append(h)
+        return UpSet(tuple(sorted(keep)))
 
     def join(self, other: "UpSet") -> "UpSet":
         """Least upper bound: intersection of the two segments."""

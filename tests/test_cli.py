@@ -394,6 +394,18 @@ def test_fixpoint_needs_maps(tmp_path, capsys):
     assert "--maps" in capsys.readouterr().err
 
 
+def test_shared_parser_keeps_the_empty_maps_default(tmp_path, capsys):
+    # The parser is built once per process: a call with --maps must not
+    # leave its files behind for the next call without.
+    gpath = write(tmp_path, "g.json", VEE_GRAPH)
+    mpath = write(tmp_path, "m.json", {"0": "0", "1": "1", "2": "1"})
+    code, _, _ = run_to_file(tmp_path, ["fixpoint", "--input", gpath, "--maps", mpath])
+    assert code == 0
+    capsys.readouterr()
+    assert main(["fixpoint", "--input", gpath]) == 2
+    assert "needs at least one --maps file" in capsys.readouterr().err
+
+
 def test_fixpoint_cert_tamper_detected(tmp_path):
     gpath = write(tmp_path, "g.json", VEE_GRAPH)
     mpath = write(tmp_path, "m.json", {"0": "0", "1": "1", "2": "1"})
@@ -513,6 +525,72 @@ def test_embed_cert_non_integer_position_detected(tmp_path):
     assert vcode == 0 and vout["verdict"] is False
     assert f"factor ({factor['pair'][0]!r},{factor['pair'][1]!r}" in vout["detail"]
     assert "not a path position" in vout["detail"]
+
+
+def _distances_as_list(payload):
+    payload["distances"] = list(payload["distances"].items())
+
+
+def _factor_without_image(payload):
+    del payload["factors"][0]["image"]
+
+
+def _factors_as_string(payload):
+    payload["factors"] = "factors"
+
+
+def _gap_without_minimal(payload):
+    del payload["gaps"][0]["minimal"]
+
+
+def _hole_as_list(payload):
+    payload["holes"][0] = list(payload["holes"][0].values())
+
+
+def _endpoint_as_list(payload):
+    payload["from"] = [payload["from"]]
+
+
+def _input_as_list(payload):
+    payload["input"] = [payload["input"]]
+
+
+EMBED = ["embed"]
+DISTANCE = ["distance", "--from", "0", "--to", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, doc, tamper, message",
+    [
+        (EMBED, REFLEXIVE_VEE, _distances_as_list, "distances: expected a JSON"),
+        (EMBED, REFLEXIVE_VEE, _factor_without_image, "field 'factors[0].image'"),
+        (EMBED, REFLEXIVE_VEE, _factors_as_string, "factors: expected a JSON array"),
+        (["gaps"], VEE_POSET, _gap_without_minimal, "field 'gaps[0].minimal'"),
+        (["holes"], VEE_POSET, _hole_as_list, "holes[0]: expected a JSON"),
+        (DISTANCE, REFLEXIVE_VEE, _endpoint_as_list, "from: expected a name"),
+        (DISTANCE, REFLEXIVE_VEE, _input_as_list, "input: expected a name"),
+    ],
+    ids=[
+        "distances-list",
+        "factor-no-image",
+        "factors-string",
+        "gap-no-minimal",
+        "hole-list",
+        "endpoint-list",
+        "input-list",
+    ],
+)
+def test_malformed_certificate_names_its_json_path(
+    tmp_path, capsys, argv, doc, tamper, message
+):
+    input_path = write(tmp_path, "in.json", doc)
+    code, payload, cert = run_to_file(tmp_path, argv + ["--input", input_path])
+    assert code == 0
+    tamper(payload)
+    Path(cert).write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", "--cert", cert]) == 2
+    assert message in capsys.readouterr().err
 
 
 # ------------------------------------------------------- gaps and holes

@@ -10,7 +10,7 @@ against direct order computations on independently generated posets.
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -38,6 +38,7 @@ from relmetric.vmetric import (
     v4_monoid,
     word_space,
 )
+from relmetric.zigzag import Digraph, zigzag_from_word, zigzag_space
 
 V4 = v4_monoid()
 
@@ -197,6 +198,112 @@ def test_word_monoid_caps_carrier_growth():
     seeds = {W.principal(w) for w in W.words_up_to(4) if len(w) == 4}
     with pytest.raises(CapError, match="value carrier"):
         WordValueMonoid.from_values(seeds, carrier_cap=40)
+
+
+def naive_carrier(seeds, bound: int) -> set:
+    """Reference closure: add meets, joins, involutes and bounded
+    products of all pairs until nothing changes; meets re-minimise the
+    union of the two antichains."""
+    closed = set(seeds) | {W.ZERO, W.TOP}
+    while True:
+        new = {u.involute() for u in closed}
+        for u in closed:
+            for v in closed:
+                new.add(W.UpSet(W.minimal_words(u.generators + v.generators)))
+                new.add(u.join(v))
+                w = u.concat(v)
+                if w.max_generator_len() <= bound:
+                    new.add(w)
+        if new <= closed:
+            return closed
+        closed |= new
+
+
+def three_vertex_classes() -> list[tuple]:
+    """One arc set for each isomorphism class of digraphs on 0, 1, 2."""
+    vs = ("0", "1", "2")
+    cells = [(a, b) for a in vs for b in vs if a != b]
+    relabelings = [dict(zip(vs, p)) for p in permutations(vs)]
+    classes = set()
+    for bits in product((False, True), repeat=len(cells)):
+        arcs = [c for c, keep in zip(cells, bits) if keep]
+        classes.add(
+            min(tuple(sorted((r[a], r[b]) for a, b in arcs)) for r in relabelings)
+        )
+    return sorted(classes)
+
+
+@pytest.fixture(scope="module")
+def small_zigzag_spaces() -> dict[str, VSpace]:
+    """The spaces of the 3-vertex digraph classes whose carrier has at
+    most 6 values (a cap of 6 refuses the others), and of the path +-."""
+    spaces = {}
+    for arcs in three_vertex_classes():
+        key = ",".join(f"{a}>{b}" for a, b in arcs) or "none"
+        try:
+            graph = Digraph.make(["0", "1", "2"], arcs, True)
+            spaces[key] = zigzag_space(graph, carrier_cap=6)
+        except CapError:
+            continue
+    spaces["+-"] = zigzag_space(zigzag_from_word("+-").graph)
+    return spaces
+
+
+def carrier_order(values) -> list:
+    return sorted(values, key=lambda u: [(len(g), g) for g in u.generators])
+
+
+def test_word_carrier_matches_the_naive_fixpoint(small_zigzag_spaces):
+    assert len(small_zigzag_spaces) == 12
+    assert len(small_zigzag_spaces["+-"].monoid.carrier) == 89
+    for key, space in small_zigzag_spaces.items():
+        m = space.monoid
+        expected = naive_carrier(set(space.dist.values()), m.oplus_length_bound)
+        assert list(m.carrier) == carrier_order(expected), key
+
+
+def test_word_carrier_of_seeded_seed_sets_matches_the_naive_fixpoint():
+    # Any seed with a one-letter word and bound 2 gives the 89 values of
+    # the path +-, checked above, so the products stay at length 1.
+    rng = random.Random(53)
+    short = W.words_up_to(2)
+    for _ in range(16):
+        seeds = {
+            W.UpSet.from_words(rng.sample(short, rng.randint(1, 2)))
+            for _ in range(rng.randint(1, 3))
+        }
+        m = WordValueMonoid.from_values(seeds, 1)
+        assert list(m.carrier) == carrier_order(naive_carrier(seeds, 1)), seeds
+
+
+def order_first_convexity_witness(space: VSpace):
+    """Reference convexity scan, testing ``d(x,y) <= r (+) s*`` before
+    the disjointness of the two balls."""
+    m = space.monoid
+    balls = {(x, r): space.ball(x, r) for x in space.elements for r in m.carrier}
+    bounds = {(r, s): m.oplus(r, m.involute(s)) for r in m.carrier for s in m.carrier}
+    for x in space.elements:
+        for y in space.elements:
+            for r in m.carrier:
+                for s in m.carrier:
+                    if m.leq(space.d(x, y), bounds[r, s]) and not (
+                        balls[x, r] & balls[y, s]
+                    ):
+                        return ("convexity", x, y, m.name(r), m.name(s))
+    return None
+
+
+def test_hyperconvexity_matches_the_order_first_scan(small_zigzag_spaces):
+    failing = set()
+    for key, space in small_zigzag_spaces.items():
+        ok, witness = space.is_hyperconvex()
+        expected = order_first_convexity_witness(space)
+        if expected is None:
+            assert ok or witness[0] == "ball-family", key
+        else:
+            assert (ok, witness) == (False, expected), key
+            failing.add(key)
+    assert failing == {"0>1,0>2,1>0,2>1", "0>1,1>2,2>0"}
 
 
 def test_word_monoid_accessibility_is_exact():

@@ -119,6 +119,17 @@ def test_meet_join_frozen_values():
     assert plus.meet(TOP) == plus
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.text(alphabet="+-", max_size=6), max_size=6),
+    st.lists(st.text(alphabet="+-", max_size=6), max_size=6),
+)
+def test_meet_merges_antichains_like_a_full_reduction(ws1, ws2):
+    # Reference: re-minimise the union of the two antichains.
+    a, b = UpSet.from_words(ws1), UpSet.from_words(ws2)
+    assert a.meet(b) == UpSet(W.minimal_words(a.generators + b.generators))
+
+
 def test_meet_join_against_set_oracle():
     rng = random.Random(11)
     pool = [
