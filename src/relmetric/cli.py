@@ -36,6 +36,8 @@ from .poset import (
     GAP_CAP,
     Gap,
     Poset,
+    _gaps,
+    _tarski,
     fence_product_retract_demo,
     find_gaps,
     gap_hole,
@@ -44,7 +46,6 @@ from .poset import (
     minimal_subgap,
     poset_product,
     poset_to_vspace,
-    tarski_common_fixed_points,
     vspace_to_poset,
 )
 from .relsys import BALLSET_CAP, RelSys, SelfMap, retraction_violation
@@ -368,12 +369,9 @@ def _check_payload(args, inputs: _Inputs) -> dict:
         payload["witness"] = None
         cap = args.cap if args.cap is not None else GAP_CAP
         if not verdict and len(p.elements) <= cap:
-            gaps = find_gaps(p, cap)
-            if gaps:
-                payload["witness"] = {
-                    "lower": list(gaps[0].lower),
-                    "upper": list(gaps[0].upper),
-                }
+            gap = next(_gaps(p), None)
+            if gap is not None:
+                payload["witness"] = _gap_json(gap)
     elif prop == "normal":
         system = _relsys_of(inputs, args)
         cap = args.cap if args.cap is not None else BALLSET_CAP
@@ -438,10 +436,7 @@ def _run_fixpoint(args):
     payload = _base_payload("fixpoint", args, inputs)
     payload["maps"] = list(args.maps)
     if inputs.kind == "poset":
-        p = _load_poset(inputs.doc)
-        fixed = tarski_common_fixed_points(p, mappings)
-        system = poset_to_vspace(p).to_relsys()
-        olr = system.is_one_local_retract(set(fixed))
+        fixed, olr = _tarski(_load_poset(inputs.doc), mappings)
     else:
         system = _relsys_of(inputs, args)
         selfmaps = [SelfMap.make(m, system.elements) for m in mappings]

@@ -7,6 +7,14 @@ provides complete-lattice detection, gaps (pairs of subsets with
 nothing in between, the order-side picture of holes), the Tarski
 fixed-point solver, fences, products, and the retract-of-fence-products
 demonstration.
+
+Representation: the elements are kept sorted, element i is bit i of an
+integer mask, and each poset keeps the up-set and the down-set of every
+element as masks.  The upper bounds of a subset are the AND of the
+up-sets of its members, and a mask has a least element when one of its
+members has an up-set containing the whole mask; joins, meets, the
+complete-lattice test and the gap tests are built from these two steps.
+Names are checked once, where they enter a public function.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from itertools import combinations, product as iter_product
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapError, HypothesisError, InputError, InternalCheckError
-from .relsys import OLRResult, SelfMap, retraction_violation
+from .relsys import OLRResult, SelfMap, _bits, _subset_mask, retraction_violation
 from .vmetric import PRODUCT_CAP, RadiusMap, TableMonoid, VSpace, v4_monoid
 from .words import check_word
 
@@ -69,25 +77,66 @@ class Poset:
         )
         return Poset(els, closed)
 
-    def _check(self, x: str) -> str:
-        if x not in self._members:
-            raise InputError(f"unknown element {x!r}")
-        return x
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {x: i for i, x in enumerate(self.elements)}
 
     @cached_property
-    def _members(self) -> frozenset[str]:
-        return frozenset(self.elements)
+    def _up(self) -> tuple[int, ...]:
+        """Bit j of ``_up[i]`` is set when elements[i] <= elements[j]."""
+        idx = self._index
+        up = [1 << i for i in range(len(self.elements))]
+        for x, y in self.lt:
+            up[idx[x]] |= 1 << idx[y]
+        return tuple(up)
+
+    @cached_property
+    def _down(self) -> tuple[int, ...]:
+        """Bit j of ``_down[i]`` is set when elements[j] <= elements[i]."""
+        idx = self._index
+        down = [1 << i for i in range(len(self.elements))]
+        for x, y in self.lt:
+            down[idx[y]] |= 1 << idx[x]
+        return tuple(down)
+
+    def _check(self, x: str) -> int:
+        try:
+            return self._index[x]
+        except KeyError:
+            raise InputError(f"unknown element {x!r}") from None
 
     def _check_subset(self, subset) -> frozenset[str]:
         a = frozenset(subset)
-        unknown = a - self._members
+        unknown = a.difference(self._index)
         if unknown:
             raise InputError(f"unknown elements {sorted(unknown)}")
         return a
 
+    def _mask(self, subset) -> int:
+        return _subset_mask(self._index, subset)
+
+    def _names(self, mask: int) -> tuple[str, ...]:
+        return tuple(self.elements[i] for i in _bits(mask))
+
+    def _bounds(self, rows, mask: int) -> int:
+        """The AND of ``rows[i]`` over the set bits i of a mask: its
+        upper bounds for ``_up``, its lower bounds for ``_down``."""
+        out = (1 << len(self.elements)) - 1
+        for i in _bits(mask):
+            out &= rows[i]
+        return out
+
+    @staticmethod
+    def _extreme(rows, mask: int) -> int | None:
+        """The index i in a mask with the whole mask inside ``rows[i]``:
+        its least element for ``_up``, its greatest for ``_down``."""
+        for i in _bits(mask):
+            if mask & ~rows[i] == 0:
+                return i
+        return None
+
     def leq(self, x: str, y: str) -> bool:
-        self._check(x), self._check(y)
-        return x == y or (x, y) in self.lt
+        return bool(self._up[self._check(x)] >> self._check(y) & 1)
 
     def covers(self) -> tuple[tuple[str, str], ...]:
         """The covering pairs: x < y with nothing strictly between."""
@@ -102,22 +151,18 @@ class Poset:
     # ----------------------------------------------------------- bounds
 
     def upper_bounds(self, subset) -> tuple[str, ...]:
-        a = self._check_subset(subset)
-        return tuple(z for z in self.elements if all(self.leq(x, z) for x in a))
+        return self._names(self._bounds(self._up, self._mask(subset)))
 
     def lower_bounds(self, subset) -> tuple[str, ...]:
-        a = self._check_subset(subset)
-        return tuple(z for z in self.elements if all(self.leq(z, x) for x in a))
+        return self._names(self._bounds(self._down, self._mask(subset)))
 
     def sup(self, subset) -> str | None:
-        ub = self.upper_bounds(subset)
-        best = [z for z in ub if all(self.leq(z, w) for w in ub)]
-        return best[0] if len(best) == 1 else None
+        i = self._extreme(self._up, self._bounds(self._up, self._mask(subset)))
+        return None if i is None else self.elements[i]
 
     def inf(self, subset) -> str | None:
-        lb = self.lower_bounds(subset)
-        best = [z for z in lb if all(self.leq(w, z) for w in lb)]
-        return best[0] if len(best) == 1 else None
+        i = self._extreme(self._down, self._bounds(self._down, self._mask(subset)))
+        return None if i is None else self.elements[i]
 
     @property
     def bottom(self) -> str | None:
@@ -131,12 +176,17 @@ class Poset:
 
     def is_complete_lattice(self) -> bool:
         """Finite reduction: top and bottom exist and every pair has a
-        join and a meet."""
-        if self.bottom is None or self.top is None:
+        join and a meet, the least element of ``up[i] & up[j]`` and the
+        greatest of ``down[i] & down[j]``."""
+        n = len(self.elements)
+        full = (1 << n) - 1
+        up, down = self._up, self._down
+        if self._extreme(up, full) is None or self._extreme(down, full) is None:
             return False
         return all(
-            self.sup([x, y]) is not None and self.inf([x, y]) is not None
-            for x, y in combinations(self.elements, 2)
+            self._extreme(up, up[i] & up[j]) is not None
+            and self._extreme(down, down[i] & down[j]) is not None
+            for i, j in combinations(range(n), 2)
         )
 
     def restrict(self, subset) -> "Poset":
@@ -149,11 +199,10 @@ class Poset:
         )
 
     def is_order_preserving(self, mapping: Mapping) -> bool:
-        if set(mapping) != self._members:
+        if set(mapping) != set(self.elements):
             raise InputError("the map must be defined exactly on the elements")
-        for x in mapping.values():
-            self._check(x)
-        return all(self.leq(mapping[x], mapping[y]) for x, y in self.lt)
+        image = {x: self._check(y) for x, y in mapping.items()}
+        return all(self._up[image[x]] >> image[y] & 1 for x, y in self.lt)
 
 
 def all_posets(names: Sequence[str]):
@@ -218,15 +267,29 @@ def vspace_to_poset(space: VSpace) -> Poset:
 
 def is_gap(p: Poset, lower, upper) -> bool:
     """Definitional check: the lower part sits below the upper part and
-    no point lies between them."""
-    a = p._check_subset(lower)
-    b = p._check_subset(upper)
-    if not all(p.leq(x, y) for x in a for y in b):
-        return False
-    return not any(
-        all(p.leq(x, z) for x in a) and all(p.leq(z, y) for y in b)
-        for z in p.elements
-    )
+    no point lies between them.  On masks: B lies inside the upper
+    bounds of A, and no point is both an upper bound of A and a lower
+    bound of B."""
+    return _is_gap_mask(p, p._mask(lower), p._mask(upper))
+
+
+def _is_gap_mask(p: Poset, a: int, b: int) -> bool:
+    ub = p._bounds(p._up, a)
+    return b & ~ub == 0 and ub & p._bounds(p._down, b) == 0
+
+
+def _gaps(p: Poset):
+    """The gaps (A, upper bounds of A), by the size of A and then in the
+    order of ``combinations`` over the elements; no cap."""
+    n = len(p.elements)
+    for size in range(n + 1):
+        for combo in combinations(range(n), size):
+            mask = 0
+            for i in combo:
+                mask |= 1 << i
+            ub = p._bounds(p._up, mask)
+            if p._extreme(p._up, ub) is None:
+                yield Gap(tuple(p.elements[i] for i in combo), p._names(ub))
 
 
 def find_gaps(p: Poset, cap: int = GAP_CAP) -> tuple[Gap, ...]:
@@ -238,32 +301,34 @@ def find_gaps(p: Poset, cap: int = GAP_CAP) -> tuple[Gap, ...]:
     """
     if len(p.elements) > cap:
         raise CapError(f"gap enumeration over {len(p.elements)} elements (cap {cap})")
-    out = []
-    for size in range(len(p.elements) + 1):
-        for combo in combinations(p.elements, size):
-            if p.sup(combo) is None:
-                out.append(Gap(tuple(combo), p.upper_bounds(combo)))
-    return tuple(out)
+    return tuple(_gaps(p))
 
 
 def minimal_subgap(p: Poset, gap: Gap) -> Gap:
     """A smallest gap contained in the given one (the finite-character
-    witness; the gap itself in the worst case)."""
+    witness; the gap itself in the worst case).
+
+    The witness is the least (lower, upper) pair, compared as tuples of
+    names in the order the given gap lists them, among the contained
+    gaps of least total size.  The sub-pairs are scanned by total size
+    upwards, and the least gap of the first size that has one is
+    returned: every pair of a smaller size comes before it in that
+    order, so this is the pair a sort of all sub-pairs by (size, lower,
+    upper) would reach first, found without the sort.
+    """
     if not is_gap(p, gap.lower, gap.upper):
         raise InputError("not a gap")
-    candidates = sorted(
-        (
-            (la + lb, Gap(a, b))
-            for la in range(len(gap.lower) + 1)
-            for lb in range(len(gap.upper) + 1)
-            for a in combinations(gap.lower, la)
-            for b in combinations(gap.upper, lb)
-        ),
-        key=lambda pair: (pair[0], pair[1].lower, pair[1].upper),
-    )
-    for _, sub in candidates:
-        if is_gap(p, sub.lower, sub.upper):
-            return sub
+    lower, upper = gap.lower, gap.upper
+    for size in range(len(lower) + len(upper) + 1):
+        found = [
+            Gap(a, b)
+            for la in range(max(0, size - len(upper)), min(size, len(lower)) + 1)
+            for a in combinations(lower, la)
+            for b in combinations(upper, size - la)
+            if _is_gap_mask(p, p._mask(a), p._mask(b))
+        ]
+        if found:
+            return min(found, key=lambda sub: (sub.lower, sub.upper))
     raise InternalCheckError("a gap must contain itself as a subgap")
 
 
@@ -301,7 +366,12 @@ def _as_selfmap(p: Poset, mapping) -> SelfMap:
 def tarski_common_fixed_points(p: Poset, maps) -> tuple[str, ...]:
     """Common fixed points of a commuting family of order-preserving
     maps on a complete lattice, routed through the generic solver on
-    the relational view and cross-checked against a direct scan."""
+    the relational view, which intersects the fixed sets of the maps."""
+    return _tarski(p, maps)[0]
+
+
+def _tarski(p: Poset, maps) -> tuple[tuple[str, ...], OLRResult]:
+    """The common fixed points with the solver's retract certificate."""
     selfmaps = [_as_selfmap(p, f) for f in maps]
     if not p.is_complete_lattice():
         raise HypothesisError("the poset is not a complete lattice")
@@ -310,17 +380,10 @@ def tarski_common_fixed_points(p: Poset, maps) -> tuple[str, ...]:
             if f.compose(g).pairs != g.compose(f).pairs:
                 raise InputError("the maps do not commute")
     rs = poset_to_vspace(p).to_relsys()
-    common, _cert = rs.common_fixed_points(selfmaps)
-    direct = {
-        x
-        for x in p.elements
-        if all(f(x) == x for f in selfmaps)
-    }
-    if set(common) != direct or not direct:
-        raise InternalCheckError("solver disagrees with the direct scan")
-    if not p.restrict(direct).is_complete_lattice():
+    common, cert = rs.common_fixed_points(selfmaps)
+    if not p.restrict(common).is_complete_lattice():
         raise InternalCheckError("the common fixed set must be a complete lattice")
-    return tuple(sorted(direct))
+    return tuple(sorted(common)), cert
 
 
 # ------------------------------------------------------ fences and products
@@ -352,15 +415,14 @@ def poset_product(posets: Sequence[Poset], cap: int = PRODUCT_CAP) -> Poset:
         size *= len(q.elements)
     if size > cap:
         raise CapError(f"product would have {size} elements (cap {cap})")
-    combos = list(iter_product(*(q.elements for q in posets)))
-    name = {c: "|".join(c) for c in combos}
-    pairs = set()
-    for c1 in combos:
-        for c2 in combos:
-            if c1 != c2 and all(
-                q.leq(a, b) for q, a, b in zip(posets, c1, c2)
-            ):
-                pairs.add((name[c1], name[c2]))
+    combos = list(iter_product(*(range(len(q.elements)) for q in posets)))
+    name = {c: "|".join(q.elements[i] for q, i in zip(posets, c)) for c in combos}
+    pairs = {
+        (name[c1], name[c2])
+        for c1 in combos
+        for c2 in combos
+        if c1 != c2 and all(q._up[i] >> j & 1 for q, i, j in zip(posets, c1, c2))
+    }
     return Poset.make(sorted(name.values()), pairs)
 
 

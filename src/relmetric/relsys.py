@@ -9,6 +9,14 @@ the check that a map retracts a relation onto a subset.
 
 Structure and fixed-point operations require the relation family to be
 closed under inversion (involutive); plain geometry works on any system.
+
+Representation: the elements are kept sorted, element i is bit i of an
+integer mask, and each system keeps one table of balls, the mask of
+B(x, r) for every relation r and center x.  Ball intersections, normal
+structure and the one-local-retract test work on that table.  A set A
+is equally centered when its radius set equals its diameter set; on
+the table that reads: for every relation r, if some x in A has
+A inside B(x, r), then every x in A has it.
 """
 
 from __future__ import annotations
@@ -28,8 +36,24 @@ from .errors import (
 BALLSET_CAP = 12
 
 
-def _support_key(support) -> tuple:
-    return (len(support), tuple(sorted(support)))
+def _bits(mask: int):
+    """The indices of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _subset_mask(index: dict[str, int], subset) -> int:
+    """The mask of a subset, rejecting names outside the index."""
+    a = frozenset(subset)
+    unknown = a.difference(index)
+    if unknown:
+        raise InputError(f"unknown elements {sorted(unknown)}")
+    mask = 0
+    for x in a:
+        mask |= 1 << index[x]
+    return mask
 
 
 @dataclass(frozen=True)
@@ -143,14 +167,37 @@ class RelSys:
         return tuple(name for name, _ in self.relations)
 
     @cached_property
-    def _rel_by_name(self) -> dict[str, frozenset]:
-        return dict(self.relations)
+    def _rel_index(self) -> dict[str, int]:
+        return {name: r for r, name in enumerate(self.relation_names)}
 
-    def rel(self, name: str) -> frozenset[tuple[str, str]]:
+    def _rel_position(self, name: str) -> int:
         try:
-            return self._rel_by_name[name]
+            return self._rel_index[name]
         except KeyError:
             raise InputError(f"unknown relation {name!r}") from None
+
+    def rel(self, name: str) -> frozenset[tuple[str, str]]:
+        return self.relations[self._rel_position(name)][1]
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {x: i for i, x in enumerate(self.elements)}
+
+    @cached_property
+    def _balls(self) -> tuple[tuple[int, ...], ...]:
+        """``_balls[r][i]``: the mask of the ball around elements[i] in
+        the r-th relation."""
+        idx = self._index
+        table = []
+        for _, pairs in self.relations:
+            row = [0] * len(self.elements)
+            for x, y in pairs:
+                row[idx[x]] |= 1 << idx[y]
+            table.append(tuple(row))
+        return tuple(table)
+
+    def _names(self, mask: int) -> frozenset[str]:
+        return frozenset(self.elements[i] for i in _bits(mask))
 
     @cached_property
     def is_reflexive(self) -> bool:
@@ -194,11 +241,14 @@ class RelSys:
 
     # ------------------------------------------------------------- geometry
 
+    def _position(self, x: str) -> int:
+        try:
+            return self._index[x]
+        except (KeyError, TypeError):
+            raise InputError(f"unknown element {x!r}") from None
+
     def ball(self, x: str, rname: str) -> frozenset[str]:
-        if x not in self.elements:
-            raise InputError(f"unknown element {x!r}")
-        pairs = self.rel(rname)
-        return frozenset(y for a, y in pairs if a == x)
+        return self._names(self._balls[self._rel_position(rname)][self._position(x)])
 
     def center(self, subset, rname: str) -> frozenset[str]:
         a = frozenset(subset)
@@ -232,24 +282,37 @@ class RelSys:
         )
 
     def is_equally_centered(self, subset) -> bool:
-        return self.radius_set(subset) == self.diameter_set(subset)
+        """The radius set equals the diameter set.  A relation r is in
+        the radius set when some x in A has A inside B(x, r), and in the
+        diameter set when every x in A has it; so a nonempty A is
+        equally centered when, for every r, some implies every.  The
+        empty set has no radius and every relation as diameter."""
+        points = [self._position(x) for x in frozenset(subset)]
+        a = sum(1 << i for i in points)
+        for row in self._balls:
+            inside = [a & ~row[i] == 0 for i in points]
+            if any(inside) and not all(inside):
+                return False
+        return bool(points) or not self.relations
 
     # ------------------------------------------------- ball intersections
 
     def ball_intersections(self, cap: int = BALLSET_CAP) -> tuple[BallSetMember, ...]:
         """All nonempty intersections of balls, including E (the empty
-        intersection), each with one witnessing ball family."""
+        intersection), each with one witnessing ball family: the first
+        found by a breadth-first scan that meets each new intersection
+        with every ball, centers outermost."""
         if len(self.elements) > cap:
             raise CapError(
                 f"ball-intersection enumeration supports at most {cap} elements"
             )
-        full = frozenset(self.elements)
-        found: dict[frozenset, tuple] = {full: ()}
+        full = (1 << len(self.elements)) - 1
+        found: dict[int, tuple] = {full: ()}
         frontier = [full]
         balls = [
-            (self.ball(x, rname), (x, rname))
-            for x in self.elements
-            for rname in self.relation_names
+            (self._balls[r][i], (x, rname))
+            for i, x in enumerate(self.elements)
+            for r, rname in enumerate(self.relation_names)
         ]
         while frontier:
             nxt = []
@@ -261,8 +324,9 @@ class RelSys:
                         found[inter] = witness + (tag,)
                         nxt.append(inter)
             frontier = nxt
+        keyed = sorted((m.bit_count(), tuple(_bits(m)), m) for m in found)
         return tuple(
-            BallSetMember(s, found[s]) for s in sorted(found, key=_support_key)
+            BallSetMember(self._names(m), found[m]) for _, _, m in keyed
         )
 
     def has_normal_structure(
@@ -337,27 +401,25 @@ class RelSys:
     def is_one_local_retract(self, subset) -> OLRResult:
         """Ball test: A is a one-local retract iff for every outside x
         the balls around A that contain x still meet A.  The retraction
-        table sends each x to the least element of that intersection."""
+        table sends each x to the least element of that intersection,
+        the lowest set bit of its mask."""
         if not self.is_reflexive or not self.is_involutive:
             raise StructureError(
                 "the one-local retract test needs a reflexive involutive system"
             )
-        a = frozenset(subset)
-        unknown = a - set(self.elements)
-        if unknown:
-            raise InputError(f"unknown elements {sorted(unknown)}")
+        a = _subset_mask(self._index, subset)
+        centers = list(_bits(a))
         table = []
-        for x in sorted(set(self.elements) - a):
-            hit = frozenset(self.elements)
-            for u in sorted(a):
-                for rname in self.relation_names:
-                    b = self.ball(u, rname)
-                    if x in b:
-                        hit &= b
-            meet = hit & a
-            if not meet:
-                return OLRResult(False, None, x)
-            table.append((x, min(meet)))
+        for x in _bits(((1 << len(self.elements)) - 1) & ~a):
+            hit = a
+            for row in self._balls:
+                for u in centers:
+                    if row[u] >> x & 1:
+                        hit &= row[u]
+            if not hit:
+                return OLRResult(False, None, self.elements[x])
+            anchor = (hit & -hit).bit_length() - 1
+            table.append((self.elements[x], self.elements[anchor]))
         return OLRResult(True, tuple(table), None)
 
     def retraction_exists(self, subset, x: str) -> bool:

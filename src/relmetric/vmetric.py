@@ -23,6 +23,12 @@ Provided here:
 
 Checks that quantify over values range over the monoid's finite
 carrier; for word values every verdict is relative to that closed set.
+
+Representation: a space keeps one table of balls, the mask of B(x, v)
+for every element x and carrier index of v, where bit j stands for the
+j-th element in sorted order.  Hyperconvexity (the disjointness test
+and the clique search), holes and the relational view read that table;
+a radius outside the carrier is scanned with the monoid's order.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from .errors import (
     InternalCheckError,
     StructureError,
 )
-from .relsys import OLRResult, RelSys
+from .relsys import RelSys, _bits
 from .words import UpSet
 
 CARRIER_CAP = 512
@@ -126,7 +132,10 @@ class TableMonoid(ValueMonoid):
     whose least element is neutral for ``oplus``; ``oplus`` must be
     associative and monotone; the involution must be an order
     automorphism of period two that reverses ``oplus``.  All of this is
-    validated in :meth:`make`.
+    validated in :meth:`make`; after that ``oplus`` and ``involute``
+    read the tables through the carrier index, ``leq`` reads a mask of
+    the values above each value, and a value outside the carrier is
+    rejected by ``index``.
     """
 
     carrier: tuple[str, ...]
@@ -211,15 +220,34 @@ class TableMonoid(ValueMonoid):
 
     # ------------------------------------------------------------ primitives
 
+    # ``_index`` is read directly on the hot path; on a miss, ``index``
+    # raises the carrier error for the value outside the carrier.
+
+    @cached_property
+    def _up(self) -> tuple[int, ...]:
+        """Bit j of ``_up[i]`` is set when carrier[i] <= carrier[j]."""
+        up = [0] * len(self.carrier)
+        for a, b in self.leq_pairs:
+            up[self._index[a]] |= 1 << self._index[b]
+        return tuple(up)
+
     def leq(self, a, b) -> bool:
-        self.index(a), self.index(b)
-        return (a, b) in self.leq_pairs
+        try:
+            return bool(self._up[self._index[a]] >> self._index[b] & 1)
+        except (KeyError, TypeError):
+            return bool(self._up[self.index(a)] >> self.index(b) & 1)
 
     def oplus(self, a, b) -> str:
-        return self.oplus_table[self.index(a)][self.index(b)]
+        try:
+            return self.oplus_table[self._index[a]][self._index[b]]
+        except (KeyError, TypeError):
+            return self.oplus_table[self.index(a)][self.index(b)]
 
     def involute(self, a) -> str:
-        return self.involution[self.index(a)]
+        try:
+            return self.involution[self._index[a]]
+        except (KeyError, TypeError):
+            return self.involution[self.index(a)]
 
     @cached_property
     def _meets(self) -> dict:
@@ -609,6 +637,36 @@ class VSpace:
     def ball(self, x: str, v) -> frozenset[str]:
         return frozenset(y for y in self.elements if self.monoid.leq(self.d(x, y), v))
 
+    @cached_property
+    def _balls(self) -> tuple[tuple[int, ...], ...]:
+        """``_balls[i][k]``: the mask of the ball around elements[i] with
+        radius carrier[k]; bit j stands for elements[j]."""
+        m = self.monoid
+        below: dict = {}
+        table = []
+        for x in self.elements:
+            row = [0] * len(m.carrier)
+            for j, y in enumerate(self.elements):
+                d = self.dist[x, y]
+                if d not in below:
+                    below[d] = [k for k, v in enumerate(m.carrier) if m.leq(d, v)]
+                for k in below[d]:
+                    row[k] |= 1 << j
+            table.append(tuple(row))
+        return tuple(table)
+
+    def _ball_mask(self, i: int, v) -> int:
+        """The mask of the ball around elements[i] with radius v; a
+        radius outside the carrier is scanned with the monoid's order."""
+        try:
+            k = self.monoid._index.get(v)
+        except TypeError:
+            k = None
+        if k is not None:
+            return self._balls[i][k]
+        ball = self.ball(self.elements[i], v)
+        return sum(1 << j for j, y in enumerate(self.elements) if y in ball)
+
     def diameter(self, subset=None):
         a = self.elements if subset is None else self._check_subset(subset)
         return self.monoid.join_all(self.d(x, y) for x in a for y in a)
@@ -641,15 +699,15 @@ class VSpace:
         distance at most v; reflexive and involutive whenever the
         axioms hold."""
         m = self.monoid
+        els = self.elements
         rels = {}
-        for v in m.carrier:
-            rels[m.name(v)] = {
-                (x, y)
-                for x in self.elements
-                for y in self.elements
-                if m.leq(self.d(x, y), v)
-            }
-        return RelSys.make(self.elements, rels)
+        for k, v in enumerate(m.carrier):
+            rels[m.name(v)] = frozenset(
+                (x, els[j])
+                for x, row in zip(els, self._balls)
+                for j in _bits(row[k])
+            )
+        return RelSys(els, tuple(sorted(rels.items())))
 
     # ------------------------------------------------------- hyperconvexity
 
@@ -669,27 +727,22 @@ class VSpace:
         intersections.
         """
         m = self.monoid
-        balls: dict[tuple[str, int], frozenset[str]] = {}
-        for x in self.elements:
-            for i, r in enumerate(m.carrier):
-                balls[x, i] = self.ball(x, r)
-        for x in self.elements:
-            for y in self.elements:
+        balls = self._balls
+        for i, x in enumerate(self.elements):
+            for j, y in enumerate(self.elements):
                 dxy = self.d(x, y)
-                for i, r in enumerate(m.carrier):
-                    bx = balls[x, i]
-                    for j, s in enumerate(m.carrier):
-                        if bx & balls[y, j]:
+                for r, bx in zip(m.carrier, balls[i]):
+                    for s, by in zip(m.carrier, balls[j]):
+                        if bx & by:
                             continue
                         if m.leq(dxy, m.oplus(r, m.involute(s))):
                             return False, ("convexity", x, y, m.name(r), m.name(s))
-        distinct: dict[frozenset[str], tuple[str, str]] = {}
-        for x in self.elements:
-            for i, r in enumerate(m.carrier):
-                b = balls[x, i]
+        distinct: dict[int, tuple[str, str]] = {}
+        for x, row in zip(self.elements, balls):
+            for r, b in zip(m.carrier, row):
                 if b not in distinct:
                     distinct[b] = (x, m.name(r))
-        nodes = sorted(distinct, key=lambda b: tuple(sorted(b)))
+        nodes = sorted(distinct, key=lambda b: tuple(_bits(b)))
         neighbors = {
             i: {
                 j
@@ -701,7 +754,7 @@ class VSpace:
         for clique in _maximal_cliques(len(nodes), neighbors):
             if len(clique) < 3:
                 continue
-            common = set(nodes[clique[0]])
+            common = nodes[clique[0]]
             for i in clique[1:]:
                 common &= nodes[i]
             if not common:
@@ -725,36 +778,12 @@ class VSpace:
         rd = radii.as_dict
         if set(rd) != set(self.elements):
             raise InputError("the radius map must cover exactly the elements")
-        common = set(self.elements)
-        for x in self.elements:
-            common &= self.ball(x, rd[x])
+        common = (1 << len(self.elements)) - 1
+        for i, x in enumerate(self.elements):
+            common &= self._ball_mask(i, rd[x])
             if not common:
                 return True
         return False
-
-    # --------------------------------------------------- one-local retracts
-
-    def is_one_local_retract(self, subset) -> OLRResult:
-        """For every outside point x some a* in A must satisfy
-        ``d(a, a*) <= d(a, x)`` for all a in A; then the identity on A
-        extends to a non-expansive retraction of A + {x} sending x to
-        a*.  The table records the least such a*."""
-        a = self._check_subset(subset)
-        if not a:
-            raise InputError("a one-local retract must be nonempty")
-        m = self.monoid
-        anchors = sorted(a)
-        table = []
-        for x in sorted(set(self.elements) - a):
-            good = [
-                b
-                for b in anchors
-                if all(m.leq(self.d(z, b), self.d(z, x)) for z in anchors)
-            ]
-            if not good:
-                return OLRResult(False, None, x)
-            table.append((x, good[0]))
-        return OLRResult(True, tuple(table), None)
 
 
 def _maximal_cliques(count: int, neighbors: dict[int, set[int]]) -> list[list[int]]:

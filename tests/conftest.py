@@ -9,7 +9,8 @@ from __future__ import annotations
 import random
 from itertools import combinations, product
 
-from relmetric.relsys import RelSys, SelfMap
+from relmetric.errors import InputError
+from relmetric.relsys import OLRResult, RelSys, SelfMap
 
 
 def all_strict_orders(n: int) -> list[frozenset]:
@@ -145,3 +146,31 @@ def v4_space_from_order(elements, lt: frozenset):
             else:
                 dist[x, y] = "1"
     return VSpace.make(els, v4_monoid(), dist)
+
+
+def metric_one_local_retract(space, subset) -> OLRResult:
+    """The one-local-retract test read off the distances: for every
+    outside point x some a* in A must satisfy ``d(a, a*) <= d(a, x)``
+    for all a in A; then the identity on A extends to a non-expansive
+    retraction of A + {x} sending x to a*.  The table records the least
+    such a*.  The oracle for ``RelSys.is_one_local_retract`` on the
+    relational view of the space."""
+    a = frozenset(subset)
+    unknown = a - set(space.elements)
+    if unknown:
+        raise InputError(f"unknown elements {sorted(unknown)}")
+    if not a:
+        raise InputError("a one-local retract must be nonempty")
+    m = space.monoid
+    anchors = sorted(a)
+    table = []
+    for x in sorted(set(space.elements) - a):
+        good = [
+            b
+            for b in anchors
+            if all(m.leq(space.d(z, b), space.d(z, x)) for z in anchors)
+        ]
+        if not good:
+            return OLRResult(False, None, x)
+        table.append((x, good[0]))
+    return OLRResult(True, tuple(table), None)

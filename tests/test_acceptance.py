@@ -24,6 +24,7 @@ import pytest
 
 from conftest import (
     closure_system_lattice,
+    metric_one_local_retract,
     monotone_selfmaps,
     random_reflexive_digraph,
     random_reflexive_involutive_system,
@@ -461,8 +462,8 @@ def test_accept_13_hole_preservation_characterized():
             for f in monotone_selfmaps(els, lt):
                 vmap = VMap.make(space, space, f.as_dict)
                 preserving = vmap.is_hole_preserving()
-                image_olr = space.is_one_local_retract(
-                    set(f.as_dict.values())
+                image_olr = metric_one_local_retract(
+                    space, set(f.as_dict.values())
                 ).ok
                 assert preserving == (vmap.is_isometry() and image_olr)
                 checked += 1

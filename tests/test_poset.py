@@ -432,3 +432,115 @@ def test_retracts_of_fence_products_admit_common_fixed_points():
         assert demo.fixed_points
         checked += 1
     assert checked == 8
+
+
+# ------------------------------------------------- set-based oracles
+
+
+def set_leq(p: Poset, x: str, y: str) -> bool:
+    return x == y or (x, y) in p.lt
+
+
+def set_upper_bounds(p: Poset, a) -> tuple:
+    return tuple(z for z in p.elements if all(set_leq(p, x, z) for x in a))
+
+
+def set_lower_bounds(p: Poset, a) -> tuple:
+    return tuple(z for z in p.elements if all(set_leq(p, z, x) for x in a))
+
+
+def set_sup(p: Poset, a):
+    ub = set_upper_bounds(p, a)
+    best = [z for z in ub if all(set_leq(p, z, w) for w in ub)]
+    return best[0] if len(best) == 1 else None
+
+
+def set_inf(p: Poset, a):
+    lb = set_lower_bounds(p, a)
+    best = [z for z in lb if all(set_leq(p, w, z) for w in lb)]
+    return best[0] if len(best) == 1 else None
+
+
+def set_is_complete_lattice(p: Poset) -> bool:
+    if set_inf(p, p.elements) is None or set_sup(p, p.elements) is None:
+        return False
+    return all(
+        set_sup(p, pair) is not None and set_inf(p, pair) is not None
+        for pair in combinations(p.elements, 2)
+    )
+
+
+def set_is_gap(p: Poset, a, b) -> bool:
+    if not all(set_leq(p, x, y) for x in a for y in b):
+        return False
+    return not any(
+        all(set_leq(p, x, z) for x in a) and all(set_leq(p, z, y) for y in b)
+        for z in p.elements
+    )
+
+
+def set_find_gaps(p: Poset) -> tuple:
+    return tuple(
+        Gap(combo, set_upper_bounds(p, combo))
+        for size in range(len(p.elements) + 1)
+        for combo in combinations(p.elements, size)
+        if set_sup(p, combo) is None
+    )
+
+
+def set_minimal_subgap(p: Poset, gap: Gap) -> Gap:
+    """Every sub-pair sorted by (size, lower, upper); the first gap."""
+    candidates = sorted(
+        (
+            (la + lb, Gap(a, b))
+            for la in range(len(gap.lower) + 1)
+            for lb in range(len(gap.upper) + 1)
+            for a in combinations(gap.lower, la)
+            for b in combinations(gap.upper, lb)
+        ),
+        key=lambda pair: (pair[0], pair[1].lower, pair[1].upper),
+    )
+    return next(sub for _, sub in candidates if set_is_gap(p, sub.lower, sub.upper))
+
+
+def oracle_corpus() -> list[Poset]:
+    """All labeled posets on at most 4 points and a seeded 5-point sample."""
+    posets = [q for n in range(1, 5) for q in all_posets("dcba"[:n])]
+    rng = random.Random(61)
+    posets += [random_poset(rng, 5) for _ in range(30)]
+    return posets
+
+
+def test_poset_masks_match_the_set_scans():
+    corpus = oracle_corpus()
+    assert len(corpus) == 1 + 3 + 19 + 219 + 30
+    for p in corpus:
+        subsets = [
+            a for k in range(len(p.elements) + 1) for a in combinations(p.elements, k)
+        ]
+        for a in subsets:
+            assert p.upper_bounds(a) == set_upper_bounds(p, a)
+            assert p.lower_bounds(a) == set_lower_bounds(p, a)
+            assert p.sup(a) == set_sup(p, a)
+            assert p.inf(a) == set_inf(p, a)
+        assert p.is_complete_lattice() == set_is_complete_lattice(p)
+        gaps = find_gaps(p)
+        assert gaps == set_find_gaps(p)
+        for g in gaps:
+            assert minimal_subgap(p, g) == set_minimal_subgap(p, g)
+            # the same gap listed in another order
+            flipped = Gap(g.lower[::-1], g.upper[::-1])
+            assert minimal_subgap(p, flipped) == set_minimal_subgap(p, flipped)
+
+
+def test_is_gap_masks_match_the_set_scan():
+    rng = random.Random(67)
+    for p in oracle_corpus():
+        subsets = [
+            a for k in range(len(p.elements) + 1) for a in combinations(p.elements, k)
+        ]
+        pairs = product(subsets, subsets)
+        if len(p.elements) == 5:
+            pairs = rng.sample(list(pairs), 200)
+        for a, b in pairs:
+            assert is_gap(p, a, b) == set_is_gap(p, a, b)

@@ -7,6 +7,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_reflexive_involutive_system
 from relmetric.errors import HypothesisError, InputError, StructureError
@@ -265,3 +267,107 @@ def test_restriction_to_olr_stays_normal():
             if not a or not s.is_one_local_retract(a).ok:
                 continue
             assert s.restrict(a).has_normal_structure()[0]
+
+
+# ------------------------------------------------- set-based oracles
+
+
+def set_ball(s: RelSys, x: str, rname: str) -> frozenset:
+    return frozenset(y for a, y in s.rel(rname) if a == x)
+
+
+def set_ball_intersections(s: RelSys) -> list[tuple[frozenset, tuple]]:
+    """The breadth-first scan of ball intersections on frozensets."""
+    full = frozenset(s.elements)
+    found = {full: ()}
+    frontier = [full]
+    balls = [
+        (set_ball(s, x, rname), (x, rname))
+        for x in s.elements
+        for rname in s.relation_names
+    ]
+    while frontier:
+        nxt = []
+        for support in frontier:
+            for b, tag in balls:
+                inter = support & b
+                if inter and inter not in found:
+                    found[inter] = found[support] + (tag,)
+                    nxt.append(inter)
+        frontier = nxt
+    order = sorted(found, key=lambda a: (len(a), tuple(sorted(a))))
+    return [(a, found[a]) for a in order]
+
+
+def set_is_equally_centered(s: RelSys, a: frozenset) -> bool:
+    """Radius set equals diameter set."""
+    radius = {
+        r for r in s.relation_names if any(a <= set_ball(s, x, r) for x in a)
+    }
+    diameter = {
+        r for r, pairs in s.relations if all((x, y) in pairs for x in a for y in a)
+    }
+    return radius == diameter
+
+
+def set_normal_structure(s: RelSys):
+    for a, _ in set_ball_intersections(s):
+        if len(a) != 1 and set_is_equally_centered(s, a):
+            return False, a
+    return True, None
+
+
+def set_one_local_retract(s: RelSys, a: frozenset):
+    """(ok, table, violator) with the least anchor by name."""
+    table = []
+    for x in sorted(set(s.elements) - a):
+        hit = frozenset(s.elements)
+        for u in sorted(a):
+            for rname in s.relation_names:
+                b = set_ball(s, u, rname)
+                if x in b:
+                    hit &= b
+        meet = hit & a
+        if not meet:
+            return False, None, x
+        table.append((x, min(meet)))
+    return True, tuple(table), None
+
+
+@st.composite
+def involutive_systems(draw, max_points: int = 7) -> RelSys:
+    """Reflexive systems of at most 7 points with each relation's inverse
+    added under its own name, symmetric relations included."""
+    n = draw(st.integers(1, max_points))
+    els = draw(st.permutations(["b", "a10", "a9", "c", "x", "a", "d"][:n]))
+    cells = st.tuples(st.sampled_from(els), st.sampled_from(els))
+    rels = {}
+    for k in range(draw(st.integers(1, 2))):
+        size = draw(st.integers(0, n * n))
+        pairs = {(x, x) for x in els} | draw(st.sets(cells, max_size=size))
+        rels[f"r{k}"] = pairs
+        rels[f"r{k}-inverse"] = {(y, x) for x, y in pairs}
+    return RelSys.make(els, rels)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(involutive_systems())
+def test_ball_masks_match_the_set_scan(s):
+    for x in s.elements:
+        for rname in s.relation_names:
+            assert s.ball(x, rname) == set_ball(s, x, rname)
+    got = [(m.support, m.witness) for m in s.ball_intersections()]
+    assert got == set_ball_intersections(s)
+    for a in [frozenset()] + [support for support, _ in got]:
+        assert s.is_equally_centered(a) == set_is_equally_centered(s, a)
+    assert s.has_normal_structure() == set_normal_structure(s)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(involutive_systems(), st.data())
+def test_one_local_retract_masks_match_the_set_scan(s, data):
+    subsets = [frozenset(), frozenset(s.elements)]
+    subsets.append(frozenset(data.draw(st.sets(st.sampled_from(s.elements)))))
+    for a in subsets:
+        res = s.is_one_local_retract(a)
+        assert (res.ok, res.table, res.violator) == set_one_local_retract(s, a)

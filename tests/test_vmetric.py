@@ -17,6 +17,7 @@ import pytest
 from conftest import (
     all_strict_orders,
     closure_system_lattice,
+    metric_one_local_retract,
     monotone_selfmaps,
     random_strict_order,
     v4_space_from_order,
@@ -35,6 +36,7 @@ from relmetric.vmetric import (
     monoid_space,
     parse_word_value,
     product_space,
+    _maximal_cliques,
     v4_monoid,
     word_space,
 )
@@ -123,6 +125,22 @@ def test_v4_distance_table_matches_least_solution_oracle():
     for p in V4.carrier:
         for q in V4.carrier:
             assert V4.dist(p, q) == expected[p, q] == oracle(p, q)
+
+
+def test_table_primitives_reject_values_outside_the_carrier():
+    calls = [
+        lambda v: V4.leq("+", v),
+        lambda v: V4.leq(v, "+"),
+        lambda v: V4.oplus("+", v),
+        lambda v: V4.oplus(v, "+"),
+        V4.involute,
+    ]
+    for v in ("2", None, ["+"]):
+        for call in calls:
+            with pytest.raises(InputError, match="is not in the carrier"):
+                call(v)
+    # a pair outside the order is still answered, not rejected
+    assert not V4.leq("1", "0")
 
 
 def test_v4_accessibility():
@@ -763,7 +781,9 @@ def test_hole_preserving_iff_isometry_onto_one_local_retract():
             vm = VMap.make(s, t, dict(zip(s.elements, values)))
             if not vm.is_nonexpansive():
                 continue
-            structural = vm.is_isometry() and t.is_one_local_retract(vm.image).ok
+            structural = (
+                vm.is_isometry() and metric_one_local_retract(t, vm.image).ok
+            )
             assert vm.is_hole_preserving() == structural
             agreements[structural] += 1
     assert agreements[True] and agreements[False]
@@ -787,8 +807,86 @@ def test_metric_side_olr_agrees_with_relational_side():
         subset = frozenset(
             rng.sample(list(s.elements), rng.randint(1, len(s.elements)))
         )
-        mine = s.is_one_local_retract(subset)
+        mine = metric_one_local_retract(s, subset)
         theirs = rs.is_one_local_retract(subset)
         assert mine.ok == theirs.ok
         assert mine.table == theirs.table
         assert mine.violator == theirs.violator
+
+
+# ------------------------------------------------- set-based oracles
+
+
+def set_hyperconvex(space: VSpace):
+    """The hyperconvexity scan on frozenset balls: disjointness first,
+    then the family property over the maximal cliques of distinct balls."""
+    m = space.monoid
+    balls = {(x, r): space.ball(x, r) for x in space.elements for r in m.carrier}
+    for x in space.elements:
+        for y in space.elements:
+            for r in m.carrier:
+                for s in m.carrier:
+                    if balls[x, r] & balls[y, s]:
+                        continue
+                    if m.leq(space.d(x, y), m.oplus(r, m.involute(s))):
+                        return False, ("convexity", x, y, m.name(r), m.name(s))
+    distinct = {}
+    for x in space.elements:
+        for r in m.carrier:
+            distinct.setdefault(balls[x, r], (x, m.name(r)))
+    nodes = sorted(distinct, key=lambda b: tuple(sorted(b)))
+    neighbors = {
+        i: {j for j, b in enumerate(nodes) if i != j and nodes[i] & b}
+        for i in range(len(nodes))
+    }
+    for clique in _maximal_cliques(len(nodes), neighbors):
+        if len(clique) >= 3 and not frozenset.intersection(*(nodes[i] for i in clique)):
+            return False, ("ball-family", tuple(distinct[nodes[i]] for i in clique))
+    return True, None
+
+
+def set_is_hole(space: VSpace, radii: RadiusMap) -> bool:
+    common = set(space.elements)
+    for x in space.elements:
+        common &= space.ball(x, radii(x))
+        if not common:
+            return True
+    return False
+
+
+def outcome(check, *args):
+    """The result of a check, or the type and text of what it raised."""
+    try:
+        return check(*args)
+    except InputError as exc:
+        return ("InputError", str(exc))
+
+
+def test_four_value_hyperconvexity_and_holes_match_the_set_scans():
+    rng = random.Random(71)
+    for n in range(1, 5):
+        els = "qpon"[:n]
+        for lt in all_strict_orders(n):
+            lt = frozenset((els[int(x)], els[int(y)]) for x, y in lt)
+            space = v4_space_from_order(els, lt)
+            assert space.is_hyperconvex() == set_hyperconvex(space)
+            maps = list(product(V4.carrier + ("2",), repeat=n))
+            for values in rng.sample(maps, min(len(maps), 12)):
+                radii = RadiusMap(tuple(zip(space.elements, values)))
+                assert outcome(space.is_hole, radii) == outcome(
+                    set_is_hole, space, radii
+                )
+
+
+def test_word_hyperconvexity_and_holes_match_the_set_scans(small_zigzag_spaces):
+    rng = random.Random(73)
+    outside = W.principal("+-+-+-+")
+    for key, space in small_zigzag_spaces.items():
+        assert outside not in space.monoid.carrier
+        assert space.is_hyperconvex() == set_hyperconvex(space), key
+        values = list(space.monoid.carrier) + [outside]
+        for _ in range(40):
+            radii = RadiusMap(
+                tuple((x, rng.choice(values)) for x in space.elements)
+            )
+            assert space.is_hole(radii) == set_is_hole(space, radii), key
