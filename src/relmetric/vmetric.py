@@ -24,17 +24,23 @@ Provided here:
 Checks that quantify over values range over the monoid's finite
 carrier; for word values every verdict is relative to that closed set.
 
-Representation: a space keeps one table of balls, the mask of B(x, v)
-for every element x and carrier index of v, where bit j stands for the
-j-th element in sorted order.  Hyperconvexity (the disjointness test
-and the clique search), holes and the relational view read that table;
-a radius outside the carrier is scanned with the monoid's order.
+Representation: a monoid keeps its order as one mask per carrier value,
+the values above it.  A table monoid reads it off its order pairs and
+also tabulates the distance of every pair of values; a word-value
+monoid reads it off the integer masks of its meet closure, which keeps
+each value as the masks of its generator words and of its up-set over
+an index of the words.  A space keeps one table of balls, the mask of
+B(x, v) for every element x and carrier index of v, where bit j stands
+for the j-th element in sorted order, built from the order masks.
+Hyperconvexity (ball classes, the disjointness test and the clique
+search), holes and the relational view read that table; a radius
+outside the carrier is scanned with the monoid's order.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import islice, product as iter_product
 from typing import Iterable, Mapping
@@ -63,12 +69,19 @@ class ValueMonoid:
 
     Subclasses provide the primitives: ``carrier``, ``zero``, ``top``,
     ``oplus``, ``involute``, ``leq``, ``meet``, ``join``, ``name`` and
-    ``value``.
+    ``value``, and the order as masks, ``_up``.
     """
 
     @cached_property
     def _index(self) -> dict:
         return {v: i for i, v in enumerate(self.carrier)}
+
+    @cached_property
+    def _class_maxima(self) -> dict[int, tuple[list, list]]:
+        """For a mask of carrier indices: its maximal values and their
+        involutes; filled by :meth:`VSpace.is_hyperconvex` as ball
+        classes come up, so at most one entry per class seen."""
+        return {}
 
     def contains(self, v) -> bool:
         return v in self._index
@@ -94,19 +107,36 @@ class ValueMonoid:
     def dist(self, p, q):
         """Distance of the value monoid on itself: the least r with
         ``q <= p (+) r`` and ``p <= q (+) involute(r)``, searched over
-        the carrier."""
-        sols = [
-            r
-            for r in self.carrier
-            if self.leq(q, self.oplus(p, r))
-            and self.leq(p, self.oplus(q, self.involute(r)))
-        ]
-        for r in sols:
-            if all(self.leq(r, s) for s in sols):
-                return r
-        raise StructureError(
-            f"value monoid is not residuated at ({self.name(p)}, {self.name(q)})"
-        )
+        the carrier for all pairs at the first call."""
+        try:
+            r = self._dists[self._index[p]][self._index[q]]
+        except (KeyError, TypeError):
+            r = self._dists[self.index(p)][self.index(q)]
+        if r is None:
+            raise StructureError(
+                f"value monoid is not residuated at ({self.name(p)}, {self.name(q)})"
+            )
+        return r
+
+    @cached_property
+    def _dists(self) -> tuple[tuple, ...]:
+        """``_dists[i][j]``: the distance from carrier[i] to carrier[j],
+        None where the solutions have no least element."""
+        up = self._up
+        table = []
+        for p in self.carrier:
+            row = []
+            for q in self.carrier:
+                sols = sum(
+                    1 << k
+                    for k, r in enumerate(self.carrier)
+                    if self.leq(q, self.oplus(p, r))
+                    and self.leq(p, self.oplus(q, self.involute(r)))
+                )
+                least = [k for k in _bits(sols) if up[k] & sols == sols]
+                row.append(self.carrier[least[0]] if least else None)
+            table.append(tuple(row))
+        return tuple(table)
 
     def accessibility_value_witness(self, v):
         """A value r with ``not leq(v, r)`` and
@@ -379,6 +409,94 @@ class _Closure:
         return frontier
 
 
+class _MeetClosure:
+    """The meet closure of word values, in the rounds of :class:`_Closure`,
+    on integer masks.
+
+    Every generator word gets a bit in an append-only index.  A value is
+    two masks over it: G, the bits of its generators, and U, the bits of
+    the indexed words in its up-set.  Meet is the union of up-sets, so a
+    generator of one side stays minimal unless the other side holds a
+    proper subword of it: ``G = (Ga & ~Ub) | (Gb & ~Ua) | (Ga & Gb)``
+    and ``U = Ua | Ub``.  Values are keyed by G, and ``up`` maps the G of
+    every member and pending value to its U.  Meets bring no new words;
+    when pushed values do, U of every known value is derived again as
+    the OR of the superword masks of its generators.  An ``UpSet`` is
+    built only for a value that becomes a member.
+    """
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.bit: dict[str, int] = {}
+        self.indexed: list[str] = []
+        # supers[i]: the bits of indexed[i] and of its indexed superwords
+        self.supers: list[int] = []
+        self.up: dict[int, int] = {}
+        self.pending: set[int] = set()
+        # the G of each member, in the order the members were added
+        self.members: dict[UpSet, int] = {}
+
+    def _index_word(self, w: str) -> None:
+        i = len(self.indexed)
+        mask = 1 << i
+        for j, v in enumerate(self.indexed):
+            if len(v) < len(w):
+                if words.is_subword(v, w):
+                    self.supers[j] |= 1 << i
+            elif len(v) > len(w) and words.is_subword(w, v):
+                mask |= 1 << j
+        self.bit[w] = i
+        self.indexed.append(w)
+        self.supers.append(mask)
+
+    def _up_mask(self, g: int) -> int:
+        u = 0
+        for i in _bits(g):
+            u |= self.supers[i]
+        return u
+
+    def push(self, values: Iterable[UpSet]) -> None:
+        values = list(values)
+        fresh = dict.fromkeys(
+            w for u in values for w in u.generators if w not in self.bit
+        )
+        for w in fresh:
+            self._index_word(w)
+        if fresh:
+            for g in self.up:
+                self.up[g] = self._up_mask(g)
+        for u in values:
+            g = sum(1 << self.bit[w] for w in u.generators)
+            if g not in self.up:
+                self.up[g] = self._up_mask(g)
+                self.pending.add(g)
+        _check_carrier_size(len(self.up), self.cap)
+
+    def step(self) -> list[UpSet]:
+        """One round; returns the values it added as members."""
+        frontier, self.pending = self.pending, set()
+        up, pending, members = self.up, self.pending, self.members
+        added = []
+        for ga in frontier:
+            ua = up[ga]
+            for gb in members.values():
+                ub = up[gb]
+                g = (ga & ~ub) | (gb & ~ua) | (ga & gb)
+                if g not in up:
+                    up[g] = ua | ub
+                    pending.add(g)
+                    _check_carrier_size(len(up), self.cap)
+            value = UpSet(tuple(sorted(self.indexed[i] for i in _bits(ga))))
+            members[value] = ga
+            added.append(value)
+        return added
+
+    def masks(self, v: UpSet) -> tuple[int, int]:
+        """The (G, U) masks of a member."""
+        g = self.members[v]
+        return g, self.up[g]
+
+
 def parse_word_value(text: str) -> UpSet:
     """Parse a JSON list of generator words into an up-set value."""
     try:
@@ -430,6 +548,11 @@ class WordValueMonoid(ValueMonoid):
       two values are already longer than the bound together, since every
       generator of the product is at least that long.
 
+    * The meet closure runs on integer masks (see :class:`_MeetClosure`):
+      each value is a mask of generator words and a mask of the indexed
+      words in its up-set, so a meet is three mask operations and no
+      subword test.  Its masks also give the carrier order, ``_up``.
+
     Every set built this way lies inside the least set, and the rounds
     stop only when the set is closed under all four operations, so the
     result is that least set, whatever order the values were tried in.
@@ -439,6 +562,11 @@ class WordValueMonoid(ValueMonoid):
 
     carrier: tuple[UpSet, ...]
     oplus_length_bound: int
+    # The (G, U) masks of each carrier value from the meet closure; None
+    # for a carrier given directly.
+    masks: tuple[tuple[int, int], ...] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @staticmethod
     def from_values(
@@ -456,7 +584,7 @@ class WordValueMonoid(ValueMonoid):
                 2, 2 * max(u.max_generator_len() for u in seeds)
             )
         joins = _Closure(UpSet.join, carrier_cap)
-        lattice = _Closure(UpSet.meet, carrier_cap)
+        lattice = _MeetClosure(carrier_cap)
         joins.push(seeds | {u.involute() for u in seeds})
         added: list[UpSet] = []
         while joins.pending or lattice.pending:
@@ -484,16 +612,34 @@ class WordValueMonoid(ValueMonoid):
                     for w in (u.concat(v), v.concat(u)):
                         if w.max_generator_len() <= oplus_length_bound:
                             products.add(w)
-            joins.push(products - lattice.known)
+            joins.push(products.difference(lattice.members))
             added = []
+        carrier = tuple(sorted(lattice.members, key=_upset_key))
         return WordValueMonoid(
-            tuple(sorted(lattice.members, key=_upset_key)), oplus_length_bound
+            carrier, oplus_length_bound, tuple(map(lattice.masks, carrier))
         )
 
     def merged(self, other: "WordValueMonoid") -> "WordValueMonoid":
         return WordValueMonoid.from_values(
             set(self.carrier) | set(other.carrier),
             max(self.oplus_length_bound, other.oplus_length_bound),
+        )
+
+    @cached_property
+    def _up(self) -> tuple[int, ...]:
+        """Bit l of ``_up[k]`` is set when carrier[k] <= carrier[l]:
+        the up-set of carrier[k] holds every generator of carrier[l].
+        Read off the closure's masks, or found with ``leq`` for a
+        carrier given directly."""
+        if self.masks is None:
+            return tuple(
+                sum(1 << l for l, w in enumerate(self.carrier) if v.leq(w))
+                for v in self.carrier
+            )
+        gens = [g for g, _ in self.masks]
+        return tuple(
+            sum(1 << l for l, g in enumerate(gens) if not g & ~u)
+            for _, u in self.masks
         )
 
     # ------------------------------------------------------------ primitives
@@ -649,7 +795,7 @@ class VSpace:
             for j, y in enumerate(self.elements):
                 d = self.dist[x, y]
                 if d not in below:
-                    below[d] = [k for k, v in enumerate(m.carrier) if m.leq(d, v)]
+                    below[d] = list(_bits(m._up[m.index(d)]))
                 for k in below[d]:
                     row[k] |= 1 << j
             table.append(tuple(row))
@@ -716,26 +862,53 @@ class VSpace:
         property, with radii drawn from the carrier.
 
         Convexity: whenever ``d(x,y) <= r (+) involute(s)`` the balls
-        B(x,r) and B(y,s) must meet.  The scan tests first whether the
-        two balls are disjoint, a set intersection, and only for
-        disjoint balls forms ``r (+) involute(s)`` and compares; the
-        witness is the first pair in the scan order for which both
-        hold, whichever is tested first.  The family property: any
-        pairwise-intersecting family of balls has a common point; it is
-        enough to inspect maximal cliques of the intersection graph on
-        distinct balls, since subfamilies only have larger
-        intersections.
+        B(x,r) and B(y,s) must meet.  Each ordered pair (x, y) is first
+        decided on ball classes: the radii around a point fall into
+        classes by their ball, and since ``oplus`` is monotone and the
+        involution preserves the order, some r and s of two classes
+        violate the condition exactly when some maximal r and s of those
+        classes do.  So a pair needs only the maxima of each pair of
+        disjoint classes.  For the first pair with a violation, the
+        ordered scan over all (r, s) with disjoint balls gives the
+        witness: the first pair in that order, as if every pair were
+        scanned.  The family property: any pairwise-intersecting family
+        of balls has a common point; it is enough to inspect maximal
+        cliques of the intersection graph on distinct balls, since
+        subfamilies only have larger intersections.
         """
         m = self.monoid
         balls = self._balls
+        up = m._up
+        maxima = m._class_maxima
+        # classes[i]: (ball mask, maximal radii, their involutes) for
+        # every distinct ball around elements[i].
+        classes = []
+        for row in balls:
+            radii: dict[int, int] = {}
+            for k, b in enumerate(row):
+                radii[b] = radii.get(b, 0) | 1 << k
+            point = []
+            for b, c in radii.items():
+                if c not in maxima:
+                    rs = [m.carrier[k] for k in _bits(c) if up[k] & c == 1 << k]
+                    maxima[c] = (rs, [m.involute(s) for s in rs])
+                point.append((b, *maxima[c]))
+            classes.append(point)
         for i, x in enumerate(self.elements):
             for j, y in enumerate(self.elements):
                 dxy = self.d(x, y)
+                if not any(
+                    m.leq(dxy, m.oplus(r, s))
+                    for bx, rs, _ in classes[i]
+                    for by, _, ss in classes[j]
+                    if not bx & by
+                    for r in rs
+                    for s in ss
+                ):
+                    continue
                 for r, bx in zip(m.carrier, balls[i]):
                     for s, by in zip(m.carrier, balls[j]):
-                        if bx & by:
-                            continue
-                        if m.leq(dxy, m.oplus(r, m.involute(s))):
+                        if not bx & by and m.leq(dxy, m.oplus(r, m.involute(s))):
                             return False, ("convexity", x, y, m.name(r), m.name(s))
         distinct: dict[int, tuple[str, str]] = {}
         for x, row in zip(self.elements, balls):
@@ -899,6 +1072,14 @@ class VMap:
     def image(self) -> tuple[str, ...]:
         return tuple(sorted({y for _, y in self.pairs}))
 
+    @cached_property
+    def _preimages(self) -> dict[str, list[str]]:
+        """The source points mapped to each image point, in source order."""
+        out: dict[str, list[str]] = {}
+        for x, y in self.pairs:
+            out.setdefault(y, []).append(x)
+        return out
+
     def is_nonexpansive(self) -> bool:
         m = self.target.monoid
         return all(
@@ -945,9 +1126,11 @@ def hole_image(radii: RadiusMap, vmap: VMap) -> RadiusMap:
     radii of its preimages, top when there are none."""
     m = vmap.source.monoid
     rd = radii.as_dict
-    out = {}
-    for y in vmap.target.elements:
-        out[y] = m.meet_all(rd[x] for x in vmap.source.elements if vmap(x) == y)
+    preimages = vmap._preimages
+    out = {
+        y: m.meet_all(rd[x] for x in preimages.get(y, ()))
+        for y in vmap.target.elements
+    }
     return RadiusMap.make(out, vmap.target.elements)
 
 

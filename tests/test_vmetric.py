@@ -31,6 +31,8 @@ from relmetric.vmetric import (
     VMap,
     VSpace,
     WordValueMonoid,
+    _Closure,
+    _upset_key,
     canonical_embedding,
     hole_image,
     monoid_space,
@@ -196,6 +198,37 @@ def test_non_residuated_monoid_raises_only_where_no_least_solution():
         m3.dist("1", "a")
 
 
+def carrier_scan_distance(m: TableMonoid, p, q):
+    """The least r with ``q <= p (+) r`` and ``p <= q (+) involute(r)``,
+    searched over the carrier at every call; None when there is none."""
+    sols = [
+        r
+        for r in m.carrier
+        if m.leq(q, m.oplus(p, r)) and m.leq(p, m.oplus(q, m.involute(r)))
+    ]
+    least = [r for r in sols if all(m.leq(r, s) for s in sols)]
+    return least[0] if least else None
+
+
+def test_distance_table_matches_the_carrier_scan():
+    unresolved = []
+    for m in (V4, m3_monoid()):
+        for p in m.carrier:
+            for q in m.carrier:
+                expected = carrier_scan_distance(m, p, q)
+                if expected is None:
+                    unresolved.append((p, q))
+                    with pytest.raises(StructureError, match="not residuated"):
+                        m.dist(p, q)
+                else:
+                    assert m.dist(p, q) == expected, (p, q)
+        for v in ("2", None, ["+"]):
+            for call in (lambda: m.dist(v, m.zero), lambda: m.dist(m.zero, v)):
+                with pytest.raises(InputError, match="is not in the carrier"):
+                    call()
+    assert ("1", "a") in unresolved and len(unresolved) > 1
+
+
 def test_word_monoid_carrier_is_closed():
     m = WordValueMonoid.from_values(
         {W.principal("+"), W.principal("-+")}, oplus_length_bound=2
@@ -294,6 +327,91 @@ def test_word_carrier_of_seeded_seed_sets_matches_the_naive_fixpoint():
         assert list(m.carrier) == carrier_order(naive_carrier(seeds, 1)), seeds
 
 
+def upset_closure_carrier(seeds, bound: int, cap: int) -> tuple:
+    """``from_values`` with the meet closure run on up-sets, as a
+    ``_Closure`` of ``UpSet.meet``: the same rounds, products and caps."""
+    seeds = set(seeds) | {W.ZERO, W.TOP}
+    joins = _Closure(W.UpSet.join, cap)
+    lattice = _Closure(W.UpSet.meet, cap)
+    joins.push(seeds | {u.involute() for u in seeds})
+    added = []
+    while joins.pending or lattice.pending:
+        lattice.push(joins.step())
+        added += lattice.step()
+        if joins.pending or lattice.pending:
+            continue
+        shortest = sorted(
+            (
+                (min(len(g) for g in v.generators), v)
+                for v in lattice.members
+                if not v.is_top
+            ),
+            key=lambda pair: pair[0],
+        )
+        products = set()
+        for u in added:
+            if u.is_top:
+                continue
+            room = bound - min(len(g) for g in u.generators)
+            for length, v in shortest:
+                if length > room:
+                    break
+                for w in (u.concat(v), v.concat(u)):
+                    if w.max_generator_len() <= bound:
+                        products.add(w)
+        joins.push(products - lattice.known)
+        added = []
+    return tuple(sorted(lattice.members, key=_upset_key))
+
+
+def carrier_or_refusal(build, *args):
+    try:
+        return build(*args)
+    except CapError as exc:
+        return ("CapError", str(exc))
+
+
+def test_mask_meet_closure_matches_the_upset_closure(small_zigzag_spaces):
+    cases = {
+        key: (set(space.dist.values()), space.monoid.oplus_length_bound)
+        for key, space in small_zigzag_spaces.items()
+    }
+    for arcs in three_vertex_classes():
+        space = zigzag_space(Digraph.make(["0", "1", "2"], arcs, True))
+        cases[f"3-vertex {arcs}"] = (
+            set(space.dist.values()),
+            space.monoid.oplus_length_bound,
+        )
+    rng = random.Random(59)
+    pool = W.words_up_to(3)
+    for k in range(14):
+        seeds = {
+            W.UpSet.from_words(rng.sample(pool, rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 3))
+        }
+        cases[f"seeded {k}"] = (seeds, rng.randint(1, 3))
+    sizes = set()
+    for key, (seeds, bound) in cases.items():
+        expected = carrier_or_refusal(upset_closure_carrier, seeds, bound, 200)
+
+        def masked(cap):
+            return WordValueMonoid.from_values(seeds, bound, cap).carrier
+
+        assert carrier_or_refusal(masked, 200) == expected, key
+        if expected[0] == "CapError":
+            sizes.add("refused")
+            continue
+        sizes.add(len(expected))
+        for cap in (len(expected) - 1, len(expected)):
+            assert carrier_or_refusal(masked, cap) == carrier_or_refusal(
+                upset_closure_carrier, seeds, bound, cap
+            ), (key, cap)
+        m = WordValueMonoid.from_values(seeds, bound)
+        # the order read off the closure's masks is the order of leq
+        assert m._up == WordValueMonoid(m.carrier, bound)._up, key
+    assert {"refused", 89} <= sizes and len(sizes) > 8
+
+
 def order_first_convexity_witness(space: VSpace):
     """Reference convexity scan, testing ``d(x,y) <= r (+) s*`` before
     the disjointness of the two balls."""
@@ -322,6 +440,73 @@ def test_hyperconvexity_matches_the_order_first_scan(small_zigzag_spaces):
             assert (ok, witness) == (False, expected), key
             failing.add(key)
     assert failing == {"0>1,0>2,1>0,2>1", "0>1,1>2,2>0"}
+
+
+def chain_sum_monoid(top: int) -> TableMonoid:
+    """The chain 0 < 1 < ... < top with addition cut off at top and the
+    identity involution."""
+    chain = [str(i) for i in range(top + 1)]
+    return TableMonoid.make(
+        chain,
+        [(str(i), str(i + 1)) for i in range(top)],
+        {(a, b): str(min(top, int(a) + int(b))) for a in chain for b in chain},
+        {a: a for a in chain},
+    )
+
+
+def table_product_monoid(left: TableMonoid, right: TableMonoid) -> TableMonoid:
+    """Coordinatewise order, ``oplus`` and involution on pairs a.b."""
+    pairs = [(a, b) for a in left.carrier for b in right.carrier]
+    carrier = [f"{a}.{b}" for a, b in pairs]
+    return TableMonoid.make(
+        carrier,
+        [
+            (f"{a}.{b}", f"{c}.{d}")
+            for a, b in pairs
+            for c, d in pairs
+            if left.leq(a, c) and right.leq(b, d)
+        ],
+        {
+            (f"{a}.{b}", f"{c}.{d}"): f"{left.oplus(a, c)}.{right.oplus(b, d)}"
+            for a, b in pairs
+            for c, d in pairs
+        },
+        {f"{a}.{b}": f"{left.involute(a)}.{right.involute(b)}" for a, b in pairs},
+    )
+
+
+def test_convexity_on_ball_classes_matches_the_ordered_scan(small_zigzag_spaces):
+    # Seeded distance matrices that need not satisfy the axioms: the
+    # class decision rests only on the monotonicity of oplus and of the
+    # involution, so verdict and witness must equal the ordered scan of
+    # every (r, s) on any matrix, with or without a violation.
+    rng = random.Random(79)
+    monoids = [
+        V4,
+        m3_monoid(),
+        chain_sum_monoid(4),
+        table_product_monoid(V4, chain_sum_monoid(2)),
+    ]
+    witnesses = set()
+    for m in monoids:
+        for _ in range(60):
+            els = "abcd"[: rng.randint(2, 4)]
+            zero = rng.random() < 0.5
+            dist = {
+                (x, y): m.zero if zero and x == y else rng.choice(m.carrier)
+                for x in els
+                for y in els
+            }
+            space = VSpace.make(els, m, dist)
+            got = space.is_hyperconvex()
+            assert got == set_hyperconvex(space), (m.carrier, dist)
+            witnesses.add(got[1][0] if got[1] else None)
+    plus_minus = small_zigzag_spaces["+-"].monoid
+    for _ in range(6):
+        dist = {(x, y): rng.choice(plus_minus.carrier) for x in "ab" for y in "ab"}
+        space = VSpace.make("ab", plus_minus, dist)
+        assert space.is_hyperconvex() == set_hyperconvex(space), dist
+    assert {None, "convexity"} <= witnesses
 
 
 def test_word_monoid_accessibility_is_exact():
@@ -750,6 +935,24 @@ def test_hole_image_meets_preimage_radii_and_tops_off_range():
     rm = RadiusMap.make({"0": "+", "1": "-"}, s.elements)
     img = hole_image(rm, f)
     assert img.as_dict == {"0": "+", "a": "-", "b": "1", "1": "1"}
+
+
+def test_hole_image_matches_the_preimage_scan():
+    # maps that are not injective, so a target point meets the radii
+    # of several preimages
+    rng = random.Random(83)
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        els = [str(i) for i in range(n)]
+        source = v4_space_from_order(els, random_strict_order(rng, n))
+        target = diamond_space()
+        f = VMap.make(source, target, {x: rng.choice(target.elements) for x in els})
+        rm = RadiusMap.make({x: rng.choice(V4.carrier) for x in els}, els)
+        expected = {
+            y: V4.meet_all(rm(x) for x in source.elements if f(x) == y)
+            for y in target.elements
+        }
+        assert hole_image(rm, f).as_dict == expected
 
 
 def test_identity_and_isometric_inclusions_preserve_holes():
