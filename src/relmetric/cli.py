@@ -166,11 +166,27 @@ def _word(value: Any, path: str) -> str:
     return value
 
 
+def _factor_words(doc: dict) -> list | None:
+    value = doc.get("factor_words")
+    if value is None:
+        return None
+    return [
+        _word(w, f"factor_words[{i}]")
+        for i, w in enumerate(_list(value, "factor_words"))
+    ]
+
+
+def _flag(value: Any, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise InputError(f"{path}: expected true or false, got {value!r}")
+    return value
+
+
 def _load_digraph(doc: dict, path: str = "") -> Digraph:
     return Digraph.make(
         _names(doc.get("vertices", []), f"{path}vertices"),
         _pairs(doc.get("arcs", []), f"{path}arcs"),
-        bool(doc.get("add_loops")),
+        _flag(doc.get("add_loops", False), f"{path}add_loops"),
     )
 
 
@@ -219,6 +235,11 @@ def _load_vspace(doc: dict, monoid_override: str | None) -> VSpace:
                 )
         values = {pair: parse_word_value(text) for pair, text in raw.items()}
         bound = doc.get("oplus_length_bound")
+        if bound is not None and (type(bound) is not int or bound < 0):
+            raise InputError(
+                "oplus_length_bound: expected a non-negative integer, "
+                f"got {bound!r}"
+            )
         monoid = WordValueMonoid.from_values(set(values.values()), bound)
         dist = values
     elif isinstance(monoid_spec, dict):
@@ -565,7 +586,7 @@ def _run_demo(args):
         demo = zigzag_fixed_point_demo(
             g,
             maps,
-            factor_words=doc.get("factor_words"),
+            factor_words=_factor_words(doc),
             retraction=doc.get("retraction"),
             maxlen=args.maxlen,
         )
@@ -826,7 +847,7 @@ def _verify_demo(cert: dict, inputs: _Inputs, args) -> None:
         return
     if kind == "zigzag":
         g = _load_digraph(_object(doc.get("graph", {}), "graph"), "graph.")
-        factor_words = doc.get("factor_words")
+        factor_words = _factor_words(doc)
         if factor_words is not None:
             violation = product_retract_violation(
                 g, factor_words, doc.get("retraction") or {}

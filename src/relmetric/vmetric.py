@@ -26,15 +26,18 @@ carrier; for word values every verdict is relative to that closed set.
 
 Representation: a monoid keeps its order as one mask per carrier value,
 the values above it.  A table monoid reads it off its order pairs and
-also tabulates the distance of every pair of values; a word-value
-monoid reads it off the integer masks of its meet closure, which keeps
-each value as the masks of its generator words and of its up-set over
-an index of the words.  A space keeps one table of balls, the mask of
-B(x, v) for every element x and carrier index of v, where bit j stands
-for the j-th element in sorted order, built from the order masks.
-Hyperconvexity (ball classes, the disjointness test and the clique
-search), holes and the relational view read that table; a radius
-outside the carrier is scanned with the monoid's order.
+also tabulates the distance of every pair of values.  A word-value
+carrier is grown by two closures: joins on up-sets, each value joined
+only with the generating values, and meets on integer masks, run to a
+fixpoint between join rounds.  The meet closure keeps each value as the
+masks of its generator words and of its up-set over an index of the
+words, and the monoid reads its order off those masks.  A space keeps
+one table of balls, the mask of B(x, v) for every element x and carrier
+index of v, where bit j stands for the j-th element in sorted order,
+built from the order masks.  Hyperconvexity (ball classes, the
+disjointness test and the clique search), holes and the relational
+view read that table; a radius outside the carrier is scanned with the
+monoid's order.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import islice, product as iter_product
+from itertools import product as iter_product
 from typing import Iterable, Mapping
 
 from . import words
@@ -372,46 +375,57 @@ def _check_carrier_size(size: int, cap: int) -> None:
         )
 
 
-class _Closure:
-    """Values closed under one commutative operation, grown in rounds.
+class _JoinClosure:
+    """The joins of nonempty sets of generators, grown in rounds.
 
-    Semi-naive: each round adds the pending values as members, one by
-    one, and combines each with the members before it, so every
-    unordered pair is combined exactly once.  Results not seen yet are
-    pending for the next round; they lie in the closure too, so they
-    count towards the cap.
+    Each round joins every value found in the last one with every
+    generator: |J|·|G| joins for J values over G generators, not
+    |J|²/2.  Results not seen yet are pending for the next round; they
+    lie in the closure too, so they count towards the cap.  Pushed
+    values not seen yet become generators.
+
+    Generators are pushed only when nothing is pending; the values then
+    are every join of the earlier generators, closed under joining with
+    them, so no old value is joined again.  A join v of a set S with new
+    generators is still found: join one new generator of S with the
+    others, new ones first, one at a time.  While the value is new, the
+    next round joins it with every generator.  Once it is an old value,
+    it is a join of earlier generators alone, so v is the join of fewer
+    new generators with earlier ones (none: v is old), and the argument
+    repeats.
     """
 
-    def __init__(self, op, cap: int):
-        self.op = op
+    def __init__(self, cap: int):
         self.cap = cap
-        self.members: list[UpSet] = []
+        self.generators: list[UpSet] = []
+        # every value found, pending ones included
         self.known: set[UpSet] = set()
         self.pending: set[UpSet] = set()
 
-    def push(self, values: Iterable[UpSet]) -> None:
-        self.pending.update(v for v in values if v not in self.known)
-        _check_carrier_size(len(self.known) + len(self.pending), self.cap)
+    def _add(self, w: UpSet) -> None:
+        if w not in self.known:
+            self.known.add(w)
+            self.pending.add(w)
+            _check_carrier_size(len(self.known), self.cap)
 
-    def step(self) -> list[UpSet]:
-        """One round; returns the values it added as members."""
-        frontier = sorted(self.pending, key=_upset_key)
-        self.pending = set()
-        self.known.update(frontier)
+    def push(self, values: Iterable[UpSet]) -> None:
+        for v in values:
+            if v not in self.known:
+                self.generators.append(v)
+                self._add(v)
+
+    def step(self) -> None:
+        """One round: joins the pending values with every generator."""
+        frontier, self.pending = self.pending, set()
         for u in frontier:
-            earlier = len(self.members)
-            self.members.append(u)
-            for v in islice(self.members, earlier):
-                w = self.op(u, v)
-                if w not in self.known and w not in self.pending:
-                    self.pending.add(w)
-                    _check_carrier_size(len(self.known) + len(self.pending), self.cap)
-        return frontier
+            for g in self.generators:
+                self._add(u.join(g))
 
 
 class _MeetClosure:
-    """The meet closure of word values, in the rounds of :class:`_Closure`,
-    on integer masks.
+    """The meet closure of word values, grown in semi-naive rounds on
+    integer masks: each round adds the pending values as members and
+    meets each with the members before it.
 
     Every generator word gets a bit in an append-only index.  A value is
     two masks over it: G, the bits of its generators, and U, the bits of
@@ -529,10 +543,11 @@ class WordValueMonoid(ValueMonoid):
       set G already form the sublattice that G generates:
       ``(a1 & ... & am) | (b1 & ... & bn)`` is the meet of the joins
       ``ai | bj`` by distributivity.  So the carrier is the meet
-      closure of the join closure of G: joins are only taken between
-      joins of G, and meets between their meets.  The rounds of the two
-      closures alternate, each new join going to the meet closure, so a
-      carrier over the cap is refused before either closure runs out.
+      closure of the join closure of G, which joins values with the
+      members of G only (see :class:`_JoinClosure`).  Each value it
+      finds goes to the meet closure at once, and the meet closure runs
+      to a fixpoint before each join round, so a carrier over the cap
+      is mostly refused by cheap mask meets.
     * The involution reverses and flips every word, so it maps up-sets
       to up-sets and preserves union and intersection: it is a lattice
       automorphism.  The sublattice generated by a set closed under the
@@ -543,10 +558,11 @@ class WordValueMonoid(ValueMonoid):
       each round only tries pairs with a value new since the last one.
       The product of two values is reversed and flipped by the
       involution, so the products of a round are closed under it as
-      well; they join G, and the two closures resume from where they
-      stopped.  A pair is skipped when the shortest generators of the
-      two values are already longer than the bound together, since every
-      generator of the product is at least that long.
+      well; those not in the carrier yet join G, and the two closures
+      resume from where they stopped.  A pair is skipped when the
+      shortest generators of the two values are already longer than the
+      bound together, since every generator of the product is at least
+      that long.
 
     * The meet closure runs on integer masks (see :class:`_MeetClosure`):
       each value is a mask of generator words and a mask of the indexed
@@ -583,14 +599,16 @@ class WordValueMonoid(ValueMonoid):
             oplus_length_bound = max(
                 2, 2 * max(u.max_generator_len() for u in seeds)
             )
-        joins = _Closure(UpSet.join, carrier_cap)
+        joins = _JoinClosure(carrier_cap)
         lattice = _MeetClosure(carrier_cap)
         joins.push(seeds | {u.involute() for u in seeds})
         added: list[UpSet] = []
-        while joins.pending or lattice.pending:
-            lattice.push(joins.step())
-            added += lattice.step()
-            if joins.pending or lattice.pending:
+        while joins.pending:
+            lattice.push(joins.pending)
+            while lattice.pending:
+                added += lattice.step()
+            joins.step()
+            if joins.pending:
                 continue
             # TOP is absorbing for concatenation and always present.
             shortest = sorted(

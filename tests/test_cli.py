@@ -229,6 +229,72 @@ def test_malformed_input_names_its_json_path(tmp_path, capsys, doc, path):
     assert f"error: {path}: expected" in capsys.readouterr().err
 
 
+def _word_space(bound):
+    return {
+        "elements": ["x"],
+        "monoid": "word-algebra",
+        "dist": {"x,x": '[""]'},
+        "oplus_length_bound": bound,
+    }
+
+
+def _retract_demo(factor_words):
+    return {
+        "kind": "zigzag",
+        "graph": {"vertices": ["0", "1"], "arcs": [["0", "1"]], "add_loops": True},
+        "factor_words": factor_words,
+        "retraction": {"0": "0", "1": "1"},
+        "maps": [{"0": "0", "1": "1"}],
+    }
+
+
+CHECK = ["check", "normal"]
+
+
+@pytest.mark.parametrize(
+    "argv, doc, path",
+    [
+        (CHECK, _word_space("x"), "oplus_length_bound"),
+        (CHECK, _word_space([1]), "oplus_length_bound"),
+        (CHECK, _word_space(True), "oplus_length_bound"),
+        (CHECK, _word_space(1.5), "oplus_length_bound"),
+        (CHECK, _word_space(-1), "oplus_length_bound"),
+        (CHECK, dict(VEE_GRAPH, add_loops="yes"), "add_loops"),
+        (["demo"], _retract_demo("+"), "factor_words"),
+        (["demo"], _retract_demo(["+", 1]), "factor_words[1]"),
+        (["verify"], _retract_demo("+"), "factor_words"),
+        (["verify"], _retract_demo(["x"]), "factor_words[0]"),
+    ],
+    ids=[
+        "bound-string",
+        "bound-list",
+        "bound-bool",
+        "bound-float",
+        "bound-negative",
+        "loops-string",
+        "demo-words-string",
+        "demo-word-int",
+        "verify-words-string",
+        "verify-word-letter",
+    ],
+)
+def test_malformed_option_value_names_its_json_path(
+    tmp_path, capsys, argv, doc, path
+):
+    if argv == ["verify"]:
+        # certify the well-formed document, then verify against the bad one
+        good = write(tmp_path, "in.json", _retract_demo(["+"]))
+        code, _, cert = run_to_file(tmp_path, ["demo", "--input", good])
+        assert code == 0
+        argv = ["verify", "--cert", cert]
+    else:
+        argv = argv + ["--input", str(tmp_path / "in.json")]
+    write(tmp_path, "in.json", doc)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"error: {path}: expected" in capsys.readouterr().err
+
+
 def test_monoid_flag_overrides_missing_field(tmp_path):
     doc = dict(V4_SPACE)
     del doc["monoid"]

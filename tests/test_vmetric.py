@@ -10,7 +10,8 @@ against direct order computations on independently generated posets.
 from __future__ import annotations
 
 import random
-from itertools import permutations, product
+from itertools import islice, permutations, product
+from typing import Iterable
 
 import pytest
 
@@ -25,13 +26,15 @@ from conftest import (
 from relmetric import words as W
 from relmetric.errors import CapError, HypothesisError, InputError, StructureError
 from relmetric.relsys import SelfMap
+from relmetric.words import UpSet
 from relmetric.vmetric import (
+    CARRIER_CAP,
     RadiusMap,
     TableMonoid,
     VMap,
     VSpace,
     WordValueMonoid,
-    _Closure,
+    _check_carrier_size,
     _upset_key,
     canonical_embedding,
     hole_image,
@@ -42,7 +45,12 @@ from relmetric.vmetric import (
     v4_monoid,
     word_space,
 )
-from relmetric.zigzag import Digraph, zigzag_from_word, zigzag_space
+from relmetric.zigzag import (
+    Digraph,
+    all_zigzag_distances,
+    zigzag_from_word,
+    zigzag_space,
+)
 
 V4 = v4_monoid()
 
@@ -327,9 +335,47 @@ def test_word_carrier_of_seeded_seed_sets_matches_the_naive_fixpoint():
         assert list(m.carrier) == carrier_order(naive_carrier(seeds, 1)), seeds
 
 
+class _Closure:
+    """Values closed under one commutative operation, grown in rounds.
+
+    Semi-naive: each round adds the pending values as members, one by
+    one, and combines each with the members before it, so every
+    unordered pair is combined exactly once.  Results not seen yet are
+    pending for the next round; they lie in the closure too, so they
+    count towards the cap.
+    """
+
+    def __init__(self, op, cap: int):
+        self.op = op
+        self.cap = cap
+        self.members: list[UpSet] = []
+        self.known: set[UpSet] = set()
+        self.pending: set[UpSet] = set()
+
+    def push(self, values: Iterable[UpSet]) -> None:
+        self.pending.update(v for v in values if v not in self.known)
+        _check_carrier_size(len(self.known) + len(self.pending), self.cap)
+
+    def step(self) -> list[UpSet]:
+        """One round; returns the values it added as members."""
+        frontier = sorted(self.pending, key=_upset_key)
+        self.pending = set()
+        self.known.update(frontier)
+        for u in frontier:
+            earlier = len(self.members)
+            self.members.append(u)
+            for v in islice(self.members, earlier):
+                w = self.op(u, v)
+                if w not in self.known and w not in self.pending:
+                    self.pending.add(w)
+                    _check_carrier_size(len(self.known) + len(self.pending), self.cap)
+        return frontier
+
+
 def upset_closure_carrier(seeds, bound: int, cap: int) -> tuple:
-    """``from_values`` with the meet closure run on up-sets, as a
-    ``_Closure`` of ``UpSet.meet``: the same rounds, products and caps."""
+    """Reference carrier: a ``_Closure`` of ``UpSet.join`` over every
+    pair of joins and one of ``UpSet.meet``, one round of each in turn,
+    with the products and caps of ``from_values``."""
     seeds = set(seeds) | {W.ZERO, W.TOP}
     joins = _Closure(W.UpSet.join, cap)
     lattice = _Closure(W.UpSet.meet, cap)
@@ -410,6 +456,60 @@ def test_mask_meet_closure_matches_the_upset_closure(small_zigzag_spaces):
         # the order read off the closure's masks is the order of leq
         assert m._up == WordValueMonoid(m.carrier, bound)._up, key
     assert {"refused", 89} <= sizes and len(sizes) > 8
+
+
+def path_seeds(word: str) -> tuple[set, int]:
+    """The distance values of the path graph of a word and the
+    product-length bound that ``zigzag_space`` gives them."""
+    dists = all_zigzag_distances(zigzag_from_word(word).graph)
+    values = {d.value for d in dists.values()}
+    return values, max(1, max(v.max_generator_len() for v in values))
+
+
+def test_generator_join_closure_matches_the_upset_closure():
+    cases = {word: path_seeds(word) for word in ("+-", "+-+", "+-+-")}
+    for arcs in three_vertex_classes():
+        space = zigzag_space(Digraph.make(["0", "1", "2"], arcs, True))
+        cases[f"3-vertex {arcs}"] = (
+            set(space.dist.values()),
+            space.monoid.oplus_length_bound,
+        )
+    outcomes = {}
+    for key, (seeds, bound) in cases.items():
+
+        def closed(cap):
+            return WordValueMonoid.from_values(seeds, bound, cap).carrier
+
+        expected = carrier_or_refusal(upset_closure_carrier, seeds, bound, 512)
+        assert carrier_or_refusal(closed, 512) == expected, key
+        outcomes[key] = expected[0] if expected[0] == "CapError" else len(expected)
+        if expected[0] == "CapError":
+            continue
+        for cap in (len(expected) - 1, len(expected)):
+            assert carrier_or_refusal(closed, cap) == carrier_or_refusal(
+                upset_closure_carrier, seeds, bound, cap
+            ), (key, cap)
+    assert outcomes["+-"] == 89
+    assert outcomes["+-+"] == outcomes["+-+-"] == "CapError"
+
+
+def test_generator_join_closure_makes_fewer_joins(monkeypatch):
+    calls = []
+    join = W.UpSet.join
+
+    def counted(a, b):
+        calls.append(None)
+        return join(a, b)
+
+    monkeypatch.setattr(W.UpSet, "join", counted)
+    for word in ("+-", "+-+", "+-+-"):
+        seeds, bound = path_seeds(word)
+        calls.clear()
+        carrier_or_refusal(upset_closure_carrier, seeds, bound, CARRIER_CAP)
+        reference = len(calls)
+        calls.clear()
+        carrier_or_refusal(WordValueMonoid.from_values, seeds, bound)
+        assert 0 < 2 * len(calls) <= reference, (word, len(calls), reference)
 
 
 def order_first_convexity_witness(space: VSpace):
