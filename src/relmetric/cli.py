@@ -4,12 +4,19 @@ Input files are JSON documents recognized by their fields: a digraph
 has "vertices" and "arcs"; a poset "elements" and "covers"; a
 relational system "elements" and "relations"; a space "elements",
 "monoid" and "dist" (distance keys "x,y"; a word value is a string
-holding a JSON array of generator words, such as "[\"+-\"]").
+holding a JSON array of generator words, such as "[\"+-\"]"); a demo
+"kind".  A fence-retract demo has "orientations", "sub", "retraction"
+and "maps"; a zigzag demo has "graph", "maps" and, for the retract
+route, "factor_words" and "retraction".  Each document is read by one
+``_Inputs`` object, shared by the command and by ``verify``; a field of
+the wrong shape is an input error that names its JSON path.
+
 Certificates are JSON with sorted keys and no timestamps, so identical
 invocations produce identical bytes.  The verify subcommand re-checks a
 certificate against the input: witnesses are checked definitionally,
-while check certificates and the zigzag space of a demo are computed
-again.
+while a certificate without witnesses (check, and distance or embed on
+a space or poset) is computed again by the command's own handler and
+compared field by field, and a zigzag demo rebuilds its space.
 
 Exit codes: 0 when a verdict was computed (negative verdicts
 included), 2 for input errors, 3 for exceeded caps, 4 for violated
@@ -21,8 +28,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cache
+from functools import cache, cached_property
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any
 
 from . import words
@@ -166,20 +174,20 @@ def _word(value: Any, path: str) -> str:
     return value
 
 
-def _factor_words(doc: dict) -> list | None:
-    value = doc.get("factor_words")
-    if value is None:
-        return None
-    return [
-        _word(w, f"factor_words[{i}]")
-        for i, w in enumerate(_list(value, "factor_words"))
-    ]
+def _words(value: Any, path: str) -> list[str]:
+    return [_word(w, f"{path}[{i}]") for i, w in enumerate(_list(value, path))]
 
 
 def _flag(value: Any, path: str) -> bool:
     if not isinstance(value, bool):
         raise InputError(f"{path}: expected true or false, got {value!r}")
     return value
+
+
+def _table(value: Any, path: str, check=_name) -> dict:
+    """A JSON object with each value passed through ``check``, which by
+    default requires a name."""
+    return {key: check(v, f"{path}.{key}") for key, v in _object(value, path).items()}
 
 
 def _load_digraph(doc: dict, path: str = "") -> Digraph:
@@ -190,24 +198,6 @@ def _load_digraph(doc: dict, path: str = "") -> Digraph:
     )
 
 
-def _load_poset(doc: dict) -> Poset:
-    return Poset.make(
-        _names(doc.get("elements", []), "elements"),
-        _pairs(doc.get("covers", []), "covers"),
-    )
-
-
-def _load_relsys(doc: dict) -> RelSys:
-    relations = _object(doc.get("relations", {}), "relations")
-    return RelSys.make(
-        _names(doc.get("elements", []), "elements"),
-        {
-            name: _pairs(pairs, f"relations.{name}")
-            for name, pairs in relations.items()
-        },
-    )
-
-
 def _split_pair_key(key: str) -> tuple[str, str]:
     parts = key.split(",")
     if len(parts) != 2:
@@ -215,46 +205,45 @@ def _split_pair_key(key: str) -> tuple[str, str]:
     return parts[0], parts[1]
 
 
+def _pair_table(value: Any, path: str, check=_name) -> dict[tuple[str, str], Any]:
+    """A ``_table`` keyed by "x,y"."""
+    return {_split_pair_key(k): v for k, v in _table(value, path, check).items()}
+
+
+def _word_value(value: Any, path: str) -> words.UpSet:
+    if not isinstance(value, str):
+        raise InputError(
+            f"{path}: expected a string holding a JSON array of words, "
+            f"got {value!r}"
+        )
+    return parse_word_value(value)
+
+
 def _load_vspace(doc: dict, monoid_override: str | None) -> VSpace:
     monoid_spec = monoid_override if monoid_override is not None else doc.get("monoid")
     if monoid_spec is None:
         raise InputError("the space file needs a 'monoid' field")
-    raw = {
-        _split_pair_key(key): value
-        for key, value in _object(doc.get("dist", {}), "dist").items()
-    }
+    dist = doc.get("dist", {})
     if monoid_spec == "V4":
         monoid = v4_monoid()
-        dist = raw
+        dist = _pair_table(dist, "dist")
     elif monoid_spec == "word-algebra":
-        for (x, y), text in raw.items():
-            if not isinstance(text, str):
-                raise InputError(
-                    f"dist.{x},{y}: expected a string holding a JSON array "
-                    f"of words, got {text!r}"
-                )
-        values = {pair: parse_word_value(text) for pair, text in raw.items()}
+        dist = _pair_table(dist, "dist", _word_value)
         bound = doc.get("oplus_length_bound")
         if bound is not None and (type(bound) is not int or bound < 0):
             raise InputError(
                 "oplus_length_bound: expected a non-negative integer, "
                 f"got {bound!r}"
             )
-        monoid = WordValueMonoid.from_values(set(values.values()), bound)
-        dist = values
+        monoid = WordValueMonoid.from_values(set(dist.values()), bound)
     elif isinstance(monoid_spec, dict):
         monoid = TableMonoid.make(
             _names(monoid_spec.get("carrier", []), "monoid.carrier"),
             _pairs(monoid_spec.get("leq", []), "monoid.leq"),
-            {
-                _split_pair_key(k): v
-                for k, v in _object(
-                    monoid_spec.get("oplus", {}), "monoid.oplus"
-                ).items()
-            },
-            _object(monoid_spec.get("involution", {}), "monoid.involution"),
+            _pair_table(monoid_spec.get("oplus", {}), "monoid.oplus"),
+            _table(monoid_spec.get("involution", {}), "monoid.involution"),
         )
-        dist = raw
+        dist = _pair_table(dist, "dist")
     else:
         raise InputError(
             f"unknown monoid {monoid_spec!r}: expected 'V4', 'word-algebra', or "
@@ -264,48 +253,108 @@ def _load_vspace(doc: dict, monoid_override: str | None) -> VSpace:
 
 
 class _Inputs:
-    def __init__(self, path: str):
+    """The input document of one invocation, read and sniffed once.
+
+    Each view is built on first use and kept for the rest of the
+    invocation, so a command and the verifier of its certificate read
+    every field by the same rules.  ``args`` supplies ``--monoid``,
+    ``--maxlen``, ``--cap`` and ``--maps``.
+    """
+
+    def __init__(self, path: str, args):
         self.path = path
+        self.args = args
         self.doc = _load_json(path)
         self.kind = _sniff(self.doc, path)
 
+    @cached_property
+    def digraph(self) -> Digraph:
+        return _load_digraph(self.doc)
 
-def _space_of(inputs: _Inputs, args) -> VSpace:
-    if inputs.kind == "vspace":
-        return _load_vspace(inputs.doc, args.monoid)
-    if inputs.kind == "poset":
-        return poset_to_vspace(_load_poset(inputs.doc))
-    if inputs.kind == "digraph":
-        return zigzag_space(
-            _load_digraph(inputs.doc),
-            maxlen=args.maxlen,
-            carrier_cap=args.cap if args.cap is not None else CARRIER_CAP,
+    @cached_property
+    def poset(self) -> Poset:
+        if self.kind == "poset":
+            return Poset.make(
+                _names(self.doc.get("elements", []), "elements"),
+                _pairs(self.doc.get("covers", []), "covers"),
+            )
+        if self.kind == "vspace":
+            return vspace_to_poset(self.space)
+        raise InputError("this command needs a poset (or a four-valued space)")
+
+    @cached_property
+    def space(self) -> VSpace:
+        if self.kind == "vspace":
+            return _load_vspace(self.doc, self.args.monoid)
+        if self.kind == "poset":
+            return poset_to_vspace(self.poset)
+        if self.kind == "digraph":
+            cap = self.args.cap
+            return zigzag_space(
+                self.digraph,
+                maxlen=self.args.maxlen,
+                carrier_cap=CARRIER_CAP if cap is None else cap,
+            )
+        raise InputError(
+            "this input carries no distance; supply a space, poset, or digraph"
         )
-    raise InputError(
-        "this input carries no distance; supply a space, poset, or digraph"
-    )
 
+    @cached_property
+    def relsys(self) -> RelSys:
+        if self.kind == "relsys":
+            relations = _object(self.doc.get("relations", {}), "relations")
+            return RelSys.make(
+                _names(self.doc.get("elements", []), "elements"),
+                {
+                    name: _pairs(pairs, f"relations.{name}")
+                    for name, pairs in relations.items()
+                },
+            )
+        return self.space.to_relsys()
 
-def _relsys_of(inputs: _Inputs, args) -> RelSys:
-    if inputs.kind == "relsys":
-        return _load_relsys(inputs.doc)
-    return _space_of(inputs, args).to_relsys()
+    @cached_property
+    def maps(self) -> list[dict[str, str]]:
+        """The self-maps of the map files named by ``--maps``."""
+        return [_table(_load_json(p), p) for p in self.args.maps]
 
-
-def _poset_of(inputs: _Inputs, args) -> Poset:
-    if inputs.kind == "poset":
-        return _load_poset(inputs.doc)
-    if inputs.kind == "vspace":
-        return vspace_to_poset(_load_vspace(inputs.doc, args.monoid))
-    raise InputError("this command needs a poset (or a four-valued space)")
-
-
-def _selfmap_doc(doc: Any, path: str) -> dict[str, str]:
-    if not isinstance(doc, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in doc.items()
-    ):
-        raise InputError(f"{path}: expected a JSON object mapping names to names")
-    return doc
+    @cached_property
+    def demo(self) -> SimpleNamespace:
+        """The checked fields of a demo: ``kind``, ``maps`` and
+        ``retraction``, with ``orientations`` and ``sub`` for the
+        fence-retract kind, ``graph`` and ``factor_words`` for the
+        zigzag kind.  ``retraction`` is None only on the zigzag direct
+        route."""
+        doc = self.doc
+        kind = doc.get("kind")
+        if kind not in ("fence-retract", "zigzag"):
+            raise InputError(
+                f"unknown demo kind {kind!r}: expected 'fence-retract' or 'zigzag'"
+            )
+        maps = [
+            _table(m, f"maps[{i}]")
+            for i, m in enumerate(_list(doc.get("maps", []), "maps"))
+        ]
+        retraction = doc.get("retraction")
+        if retraction is not None:
+            retraction = _table(retraction, "retraction")
+        if kind == "fence-retract":
+            return SimpleNamespace(
+                kind=kind,
+                maps=maps,
+                retraction=retraction or {},
+                orientations=_words(doc.get("orientations", []), "orientations"),
+                sub=_names(doc.get("sub", []), "sub"),
+            )
+        factor_words = doc.get("factor_words")
+        return SimpleNamespace(
+            kind=kind,
+            maps=maps,
+            retraction=retraction,
+            graph=_load_digraph(_object(doc.get("graph"), "graph"), "graph."),
+            factor_words=None
+            if factor_words is None
+            else _words(factor_words, "factor_words"),
+        )
 
 
 # --------------------------------------------------------- serialization
@@ -329,10 +378,10 @@ def _serialize_value(monoid, v) -> Any:
     return monoid.name(v)
 
 
-def _base_payload(command: str, args, inputs: _Inputs | None) -> dict:
+def _base_payload(command: str, args, inputs: _Inputs) -> dict:
     return {
         "command": command,
-        "input": inputs.path if inputs is not None else None,
+        "input": inputs.path,
         "options": {
             "cap": args.cap,
             "maxlen": args.maxlen,
@@ -356,26 +405,25 @@ def _emit(payload: dict, args) -> None:
 # ----------------------------------------------------------------- check
 
 
-def _check_payload(args, inputs: _Inputs) -> dict:
+def _run_check(inputs: _Inputs, args):
     prop = args.property
     payload = _base_payload("check", args, inputs)
     payload["property"] = prop
     if prop == "axioms":
-        ok, witness = _space_of(inputs, args).check_axioms()
+        ok, witness = inputs.space.check_axioms()
         payload["verdict"] = ok
         payload["witness"] = _jsonify(witness)
     elif prop == "hyperconvex":
-        ok, witness = _space_of(inputs, args).is_hyperconvex()
+        ok, witness = inputs.space.is_hyperconvex()
         payload["verdict"] = ok
         payload["witness"] = _jsonify(witness)
     elif prop == "bounded":
-        space = _space_of(inputs, args)
+        space = inputs.space
         payload["verdict"] = space.is_bounded()
         payload["diameter"] = _serialize_value(space.monoid, space.diameter())
     elif prop == "macneille-bounded":
-        space = _space_of(inputs, args)
         try:
-            cert = macneille_bounded(space)
+            cert = macneille_bounded(inputs.space)
         except HypothesisError as exc:
             payload["verdict"] = False
             payload["reason"] = str(exc)
@@ -384,7 +432,7 @@ def _check_payload(args, inputs: _Inputs) -> dict:
             payload["diameter"] = list(cert.diameter.generators)
             payload["witnesses"] = _jsonify(cert.witnesses)
     elif prop == "lattice":
-        p = _poset_of(inputs, args)
+        p = inputs.poset
         verdict = p.is_complete_lattice()
         payload["verdict"] = verdict
         payload["witness"] = None
@@ -394,72 +442,59 @@ def _check_payload(args, inputs: _Inputs) -> dict:
             if gap is not None:
                 payload["witness"] = _gap_json(gap)
     elif prop == "normal":
-        system = _relsys_of(inputs, args)
         cap = args.cap if args.cap is not None else BALLSET_CAP
-        ok, witness = system.has_normal_structure(cap)
+        ok, witness = inputs.relsys.has_normal_structure(cap)
         payload["verdict"] = ok
         payload["witness"] = None if witness is None else sorted(witness)
     elif prop == "macneille":
         if inputs.kind != "digraph":
             raise InputError("the macneille check applies to digraphs")
-        verdict = values_in_macneille(_load_digraph(inputs.doc), args.maxlen)
+        verdict = values_in_macneille(inputs.digraph, args.maxlen)
         payload["verdict"] = "unknown" if verdict is None else verdict
     else:
         raise InputError(
             f"unknown check property {prop!r}; choose from "
             + ", ".join(CHECK_PROPERTIES)
         )
-    return payload
-
-
-def _run_check(args):
-    inputs = _Inputs(args.input)
-    payload = _check_payload(args, inputs)
-    dot = _load_digraph(inputs.doc).to_dot() if inputs.kind == "digraph" else None
-    return payload, dot
+    return payload, inputs.digraph if inputs.kind == "digraph" else None
 
 
 # -------------------------------------------------------------- distance
 
 
-def _run_distance(args):
-    inputs = _Inputs(args.input)
+def _run_distance(inputs: _Inputs, args):
     if args.src is None or args.dst is None:
         raise InputError("distance needs --from and --to")
     payload = _base_payload("distance", args, inputs)
     payload["from"] = args.src
     payload["to"] = args.dst
-    dot = None
-    if inputs.kind == "digraph":
-        g = _load_digraph(inputs.doc)
-        node_cap = args.cap if args.cap is not None else SEARCH_NODE_CAP
-        d = zz_generators(g, args.src, args.dst, args.maxlen, node_cap)
-        payload["generators"] = list(d.value.generators)
-        payload["complete"] = d.complete
-        dot = g.to_dot()
-    else:
-        space = _space_of(inputs, args)
+    payload["verdict"] = True
+    if inputs.kind != "digraph":
+        space = inputs.space
         payload["value"] = _serialize_value(
             space.monoid, space.d(args.src, args.dst)
         )
-    payload["verdict"] = True
-    return payload, dot
+        return payload, None
+    node_cap = args.cap if args.cap is not None else SEARCH_NODE_CAP
+    d = zz_generators(inputs.digraph, args.src, args.dst, args.maxlen, node_cap)
+    payload["generators"] = list(d.value.generators)
+    payload["complete"] = d.complete
+    return payload, inputs.digraph
 
 
 # -------------------------------------------------------------- fixpoint
 
 
-def _run_fixpoint(args):
-    inputs = _Inputs(args.input)
+def _run_fixpoint(inputs: _Inputs, args):
     if not args.maps:
         raise InputError("fixpoint needs at least one --maps file")
-    mappings = [_selfmap_doc(_load_json(p), p) for p in args.maps]
+    mappings = inputs.maps
     payload = _base_payload("fixpoint", args, inputs)
     payload["maps"] = list(args.maps)
     if inputs.kind == "poset":
-        fixed, olr = _tarski(_load_poset(inputs.doc), mappings)
+        fixed, olr = _tarski(inputs.poset, mappings)
     else:
-        system = _relsys_of(inputs, args)
+        system = inputs.relsys
         selfmaps = [SelfMap.make(m, system.elements) for m in mappings]
         cap = args.cap if args.cap is not None else BALLSET_CAP
         fixed, olr = system.common_fixed_points(selfmaps, cap)
@@ -472,44 +507,37 @@ def _run_fixpoint(args):
 # ----------------------------------------------------------------- embed
 
 
-def _run_embed(args):
-    inputs = _Inputs(args.input)
+def _run_embed(inputs: _Inputs, args):
     payload = _base_payload("embed", args, inputs)
-    if inputs.kind == "digraph":
-        g = _load_digraph(inputs.doc)
-        cap = args.cap if args.cap is not None else FACTOR_CAP
-        embedding = embed_into_zigzag_product(g, args.maxlen, cap)
-        payload["factors"] = [
-            {
-                "pair": list(f.pair),
-                "word": f.word,
-                "image": {v: j for v, j in f.image},
-            }
-            for f in embedding.factors
-        ]
-        payload["coordinates"] = {
-            v: list(embedding.coordinates(v)) for v in g.vertices
-        }
-        payload["distances"] = {
-            f"{x},{y}": list(
-                zz_generators(g, x, y, args.maxlen).value.generators
-            )
-            for x in g.vertices
-            for y in g.vertices
-        }
-        payload["verdict"] = True
-        return payload, embedding.to_dot()
-    space = _space_of(inputs, args)
-    canonical_embedding(space)  # raises if the profiles were not isometric
-    payload["coordinates"] = {
-        x: {
-            z: _serialize_value(space.monoid, space.d(z, x))
-            for z in space.elements
-        }
-        for x in space.elements
-    }
     payload["verdict"] = True
-    return payload, None
+    if inputs.kind != "digraph":
+        space = inputs.space
+        canonical_embedding(space)  # raises if the profiles were not isometric
+        payload["coordinates"] = {
+            x: {
+                z: _serialize_value(space.monoid, space.d(z, x))
+                for z in space.elements
+            }
+            for x in space.elements
+        }
+        return payload, None
+    g = inputs.digraph
+    cap = args.cap if args.cap is not None else FACTOR_CAP
+    embedding = embed_into_zigzag_product(g, args.maxlen, cap)
+    payload["factors"] = [
+        {
+            "pair": list(f.pair),
+            "word": f.word,
+            "image": {v: j for v, j in f.image},
+        }
+        for f in embedding.factors
+    ]
+    payload["coordinates"] = {v: list(embedding.coordinates(v)) for v in g.vertices}
+    payload["distances"] = {
+        f"{x},{y}": list(value.generators)
+        for (x, y), value in embedding.distances.items()
+    }
+    return payload, embedding
 
 
 # ------------------------------------------------------------------ gaps
@@ -519,9 +547,8 @@ def _gap_json(gap: Gap) -> dict:
     return {"lower": list(gap.lower), "upper": list(gap.upper)}
 
 
-def _run_gaps(args):
-    inputs = _Inputs(args.input)
-    p = _poset_of(inputs, args)
+def _run_gaps(inputs: _Inputs, args):
+    p = inputs.poset
     cap = args.cap if args.cap is not None else GAP_CAP
     gaps = find_gaps(p, cap)
     payload = _base_payload("gaps", args, inputs)
@@ -537,9 +564,8 @@ def _run_gaps(args):
 # ----------------------------------------------------------------- holes
 
 
-def _run_holes(args):
-    inputs = _Inputs(args.input)
-    p = _poset_of(inputs, args)
+def _run_holes(inputs: _Inputs, args):
+    p = inputs.poset
     cap = args.cap if args.cap is not None else GAP_CAP
     space = poset_to_vspace(p)
     holes = []
@@ -559,53 +585,38 @@ def _run_holes(args):
 # ------------------------------------------------------------------ demo
 
 
-def _run_demo(args):
-    inputs = _Inputs(args.input)
-    doc = inputs.doc
-    kind = doc.get("kind")
+def _run_demo(inputs: _Inputs, args):
+    demo = inputs.demo
     payload = _base_payload("demo", args, inputs)
-    payload["kind"] = kind
-    if kind == "fence-retract":
-        demo = fence_product_retract_demo(
-            doc.get("orientations", ()),
-            doc.get("sub", ()),
-            doc.get("retraction", {}),
-            doc.get("maps", ()),
+    payload["kind"] = demo.kind
+    payload["verdict"] = True
+    if demo.kind == "fence-retract":
+        fence = fence_product_retract_demo(
+            demo.orientations, demo.sub, demo.retraction, demo.maps
         )
-        payload["fixed_points"] = list(demo.fixed_points)
-        payload["retract_table"] = demo.certificate.table_dict or {}
-        payload["product_size"] = len(demo.product.elements)
-        payload["verdict"] = True
+        payload["fixed_points"] = list(fence.fixed_points)
+        payload["retract_table"] = fence.certificate.table_dict or {}
+        payload["product_size"] = len(fence.product.elements)
         return payload, None
-    if kind == "zigzag":
-        graph_doc = doc.get("graph")
-        if not isinstance(graph_doc, dict):
-            raise InputError("the zigzag demo needs a 'graph' object")
-        g = _load_digraph(graph_doc, "graph.")
-        maps = [_selfmap_doc(m, inputs.path) for m in doc.get("maps", ())]
-        demo = zigzag_fixed_point_demo(
-            g,
-            maps,
-            factor_words=_factor_words(doc),
-            retraction=doc.get("retraction"),
-            maxlen=args.maxlen,
-        )
-        payload["route"] = demo.route
-        payload["fixed_points"] = list(demo.fixed_points)
-        payload["retract_table"] = demo.certificate.table_dict or {}
-        payload["bounded"] = (
-            None
-            if demo.bounded is None
-            else {
-                "diameter": list(demo.bounded.diameter.generators),
-                "witnesses": _jsonify(demo.bounded.witnesses),
-            }
-        )
-        payload["verdict"] = True
-        return payload, g.to_dot()
-    raise InputError(
-        f"unknown demo kind {kind!r}: expected 'fence-retract' or 'zigzag'"
+    zigzag = zigzag_fixed_point_demo(
+        demo.graph,
+        demo.maps,
+        factor_words=demo.factor_words,
+        retraction=demo.retraction,
+        maxlen=args.maxlen,
     )
+    payload["route"] = zigzag.route
+    payload["fixed_points"] = list(zigzag.fixed_points)
+    payload["retract_table"] = zigzag.certificate.table_dict or {}
+    payload["bounded"] = (
+        None
+        if zigzag.bounded is None
+        else {
+            "diameter": list(zigzag.bounded.diameter.generators),
+            "witnesses": _jsonify(zigzag.bounded.witnesses),
+        }
+    )
+    return payload, demo.graph
 
 
 # ---------------------------------------------------------------- verify
@@ -630,10 +641,12 @@ def _cert_field(cert: dict, key: str, where: str = "", check=None) -> Any:
     return cert[key] if check is None else check(cert[key], path)
 
 
-def _args_from_cert(cert: dict, input_path: str) -> argparse.Namespace:
+def _args_from_cert(cert: dict) -> argparse.Namespace:
     options = _object(cert.get("options") or {}, "options")
+    for key in ("cap", "maxlen"):
+        if options.get(key) is not None and type(options[key]) is not int:
+            raise InputError(f"options.{key}: expected an integer or null")
     return argparse.Namespace(
-        input=input_path,
         cap=options.get("cap"),
         maxlen=options.get("maxlen"),
         monoid=options.get("monoid"),
@@ -642,13 +655,13 @@ def _args_from_cert(cert: dict, input_path: str) -> argparse.Namespace:
         src=cert.get("from"),
         dst=cert.get("to"),
         maps=cert.get("maps"),
-        out=None,
-        dot=None,
     )
 
 
-def _verify_check(cert: dict, inputs: _Inputs, args) -> None:
-    fresh = _check_payload(args, inputs)
+def _recompute(cert: dict, inputs: _Inputs, args) -> None:
+    """Compute a certificate without witnesses again with the command's
+    own handler, and compare it with ``cert`` field by field."""
+    fresh, _ = _HANDLERS[cert["command"]](inputs, args)
     for key in sorted(set(fresh) | set(cert)):
         if key in ("command", "input", "options"):
             continue
@@ -682,16 +695,11 @@ def _verify_generator_list(g: Digraph, x: str, y: str, gens: list) -> None:
 def _verify_distance(cert: dict, inputs: _Inputs, args) -> None:
     x = _cert_field(cert, "from", check=_name)
     y = _cert_field(cert, "to", check=_name)
-    if inputs.kind == "digraph":
-        g = _load_digraph(inputs.doc)
-        _verify_generator_list(g, x, y, _cert_field(cert, "generators", check=_names))
-    else:
-        space = _space_of(inputs, args)
-        fresh = _serialize_value(space.monoid, space.d(x, y))
-        _expect(
-            fresh == _cert_field(cert, "value"),
-            f"value: certificate has {cert.get('value')!r}, input gives {fresh!r}",
-        )
+    if inputs.kind != "digraph":
+        _recompute(cert, inputs, args)
+        return
+    gens = _cert_field(cert, "generators", check=_names)
+    _verify_generator_list(inputs.digraph, x, y, gens)
 
 
 def _verify_fixed_set(system: RelSys, mappings: list, cert: dict) -> None:
@@ -730,32 +738,16 @@ def _verify_fixed_set(system: RelSys, mappings: list, cert: dict) -> None:
 
 
 def _verify_fixpoint(cert: dict, inputs: _Inputs, args) -> None:
-    mappings = [
-        _selfmap_doc(_load_json(p), p) for p in _cert_field(cert, "maps", check=_names)
-    ]
-    if inputs.kind == "poset":
-        system = poset_to_vspace(_load_poset(inputs.doc)).to_relsys()
-    else:
-        system = _relsys_of(inputs, args)
-    _verify_fixed_set(system, mappings, cert)
+    _cert_field(cert, "maps", check=_names)
+    mappings = inputs.maps
+    _verify_fixed_set(inputs.relsys, mappings, cert)
 
 
 def _verify_embed(cert: dict, inputs: _Inputs, args) -> None:
     if inputs.kind != "digraph":
-        space = _space_of(inputs, args)
-        fresh = {
-            x: {
-                z: _serialize_value(space.monoid, space.d(z, x))
-                for z in space.elements
-            }
-            for x in space.elements
-        }
-        _expect(
-            fresh == _cert_field(cert, "coordinates"),
-            "coordinates do not match the distance profiles of the space",
-        )
+        _recompute(cert, inputs, args)
         return
-    g = _load_digraph(inputs.doc)
+    g = inputs.digraph
     table = {}
     for key, gens in _cert_field(cert, "distances", check=_object).items():
         x, y = _split_pair_key(key)
@@ -782,7 +774,7 @@ def _gap_parts(gap: dict, where: str) -> tuple[list, list]:
 
 
 def _verify_gaps(cert: dict, inputs: _Inputs, args) -> None:
-    p = _poset_of(inputs, args)
+    p = inputs.poset
     for i, entry in enumerate(_cert_field(cert, "gaps", check=_list)):
         where = f"gaps[{i}]"
         entry = _object(entry, where)
@@ -810,7 +802,7 @@ def _verify_gaps(cert: dict, inputs: _Inputs, args) -> None:
 
 
 def _verify_holes(cert: dict, inputs: _Inputs, args) -> None:
-    p = _poset_of(inputs, args)
+    p = inputs.poset
     space = poset_to_vspace(p)
     for i, entry in enumerate(_cert_field(cert, "holes", check=_list)):
         where = f"holes[{i}]"
@@ -831,61 +823,58 @@ def _verify_holes(cert: dict, inputs: _Inputs, args) -> None:
 
 
 def _verify_demo(cert: dict, inputs: _Inputs, args) -> None:
-    doc = inputs.doc
     kind = _cert_field(cert, "kind")
-    if kind == "fence-retract":
-        product = poset_product(
-            [make_fence(o) for o in doc.get("orientations", ())]
-        )
-        sub = doc.get("sub", ())
+    demo = inputs.demo
+    _expect(
+        kind == demo.kind,
+        f"kind: certificate has {kind!r}, input gives {demo.kind!r}",
+    )
+    if demo.kind == "fence-retract":
+        product = poset_product([make_fence(o) for o in demo.orientations])
         violation = retraction_violation(
-            product.elements, product.lt, sub, doc.get("retraction", {})
+            product.elements, product.lt, demo.sub, demo.retraction
         )
         _expect(violation is None, violation)
-        system = poset_to_vspace(product.restrict(sub)).to_relsys()
-        _verify_fixed_set(system, list(doc.get("maps", ())), cert)
+        system = poset_to_vspace(product.restrict(demo.sub)).to_relsys()
+        _verify_fixed_set(system, demo.maps, cert)
         return
-    if kind == "zigzag":
-        g = _load_digraph(_object(doc.get("graph", {}), "graph"), "graph.")
-        factor_words = _factor_words(doc)
-        if factor_words is not None:
-            violation = product_retract_violation(
-                g, factor_words, doc.get("retraction") or {}
-            )
-            _expect(violation is None, violation)
-        space = zigzag_space(g, args.maxlen)
-        _verify_fixed_set(space.to_relsys(), list(doc.get("maps", ())), cert)
-        bounded = cert.get("bounded")
-        if bounded is not None:
-            bounded = _object(bounded, "bounded")
-            listed = _cert_field(bounded, "diameter", "bounded", _names)
-            diameter = words.UpSet.from_words(listed)
-            fresh = space.diameter()
+    g = demo.graph
+    if demo.factor_words is not None:
+        violation = product_retract_violation(
+            g, demo.factor_words, demo.retraction or {}
+        )
+        _expect(violation is None, violation)
+    space = zigzag_space(g, args.maxlen)
+    _verify_fixed_set(space.to_relsys(), demo.maps, cert)
+    bounded = cert.get("bounded")
+    if bounded is not None:
+        bounded = _object(bounded, "bounded")
+        listed = _cert_field(bounded, "diameter", "bounded", _names)
+        diameter = words.UpSet.from_words(listed)
+        fresh = space.diameter()
+        _expect(
+            diameter == fresh,
+            f"diameter: certificate has {listed}, input "
+            f"gives {list(fresh.generators)}",
+        )
+        for name, witness in _cert_field(bounded, "witnesses", "bounded", _pairs):
+            value = parse_word_value(name)
             _expect(
-                diameter == fresh,
-                f"diameter: certificate has {listed}, input "
-                f"gives {list(fresh.generators)}",
+                not value.member(witness),
+                f"bounded witness {witness!r} already lies in {name}",
             )
-            for name, witness in _cert_field(bounded, "witnesses", "bounded", _pairs):
-                value = parse_word_value(name)
-                _expect(
-                    not value.member(witness),
-                    f"bounded witness {witness!r} already lies in {name}",
-                )
-                _expect(
-                    value.member(witness + words.involute_word(witness)),
-                    f"bounded witness {witness!r} does not certify {name}",
-                )
-                _expect(
-                    value.leq(diameter),
-                    f"bounded value {name} is not below the diameter",
-                )
-        return
-    raise InputError(f"unknown demo kind {kind!r} in the certificate")
+            _expect(
+                value.member(witness + words.involute_word(witness)),
+                f"bounded witness {witness!r} does not certify {name}",
+            )
+            _expect(
+                value.leq(diameter),
+                f"bounded value {name} is not below the diameter",
+            )
 
 
 _VERIFIERS = {
-    "check": _verify_check,
+    "check": _recompute,
     "distance": _verify_distance,
     "fixpoint": _verify_fixpoint,
     "embed": _verify_embed,
@@ -895,7 +884,7 @@ _VERIFIERS = {
 }
 
 
-def _run_verify(args):
+def _run_verify(args) -> dict:
     cert = _load_json(args.cert)
     if not isinstance(cert, dict):
         raise InputError(f"{args.cert}: expected a certificate object")
@@ -906,8 +895,8 @@ def _run_verify(args):
     input_path = args.input if args.input else _cert_field(cert, "input", check=_name)
     if not input_path:
         raise InputError("no input path: pass --input or store it in the cert")
-    cert_args = _args_from_cert(cert, input_path)
-    inputs = _Inputs(input_path)
+    cert_args = _args_from_cert(cert)
+    inputs = _Inputs(input_path, cert_args)
     payload = {
         "command": "verify",
         "target": args.cert,
@@ -922,12 +911,14 @@ def _run_verify(args):
     else:
         payload["verdict"] = True
         payload["detail"] = None
-    return payload, None
+    return payload
 
 
 # ------------------------------------------------------------------ main
 
 
+#: The commands other than verify.  Each returns the certificate and
+#: the object whose ``to_dot`` draws it for ``--dot``, or None.
 _HANDLERS = {
     "check": _run_check,
     "distance": _run_distance,
@@ -936,7 +927,6 @@ _HANDLERS = {
     "gaps": _run_gaps,
     "holes": _run_holes,
     "demo": _run_demo,
-    "verify": _run_verify,
 }
 
 
@@ -1017,14 +1007,18 @@ def main(argv=None) -> int:
         print("error: --input is required", file=sys.stderr)
         return 2
     try:
-        payload, dot = _HANDLERS[args.command](args)
+        if args.command == "verify":
+            payload, drawing = _run_verify(args), None
+        else:
+            inputs = _Inputs(args.input, args)
+            payload, drawing = _HANDLERS[args.command](inputs, args)
         if args.dot:
-            if dot is None:
+            if drawing is None:
                 raise InputError(
                     "--dot is not available for this command and input"
                 )
             try:
-                Path(args.dot).write_text(dot)
+                Path(args.dot).write_text(drawing.to_dot())
             except OSError as exc:
                 raise InputError(f"cannot write {args.dot}: {exc}") from None
         _emit(payload, args)

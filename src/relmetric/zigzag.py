@@ -313,6 +313,21 @@ def all_zigzag_distances(
     }
 
 
+def _complete_distances(
+    g: Digraph, maxlen: int | None
+) -> dict[tuple[str, str], UpSet]:
+    """Every pairwise zigzag distance value; a search cut off by
+    ``maxlen`` or the node cap raises :class:`CapError`."""
+    dists = all_zigzag_distances(g, maxlen)
+    bad = sorted(pair for pair, d in dists.items() if not d.complete)
+    if bad:
+        raise CapError(
+            f"the zigzag distance for {bad[0]} is not certified complete; "
+            "raise maxlen"
+        )
+    return {pair: d.value for pair, d in dists.items()}
+
+
 def values_in_macneille(g: Digraph, maxlen: int | None = None) -> bool | None:
     """Whether every pairwise distance is a cut of the completion by
     cones; None when a truncated computation blocks the verdict."""
@@ -339,14 +354,7 @@ def zigzag_space(
     carrier-quantified check downstream is relative to that closed
     set.
     """
-    dists = all_zigzag_distances(g, maxlen)
-    bad = sorted(pair for pair, d in dists.items() if not d.complete)
-    if bad:
-        raise CapError(
-            f"the zigzag distance for {bad[0]} is not certified complete; "
-            "raise maxlen"
-        )
-    values = {pair: d.value for pair, d in dists.items()}
+    values = _complete_distances(g, maxlen)
     if oplus_length_bound is None:
         oplus_length_bound = max(
             1, max(v.max_generator_len() for v in values.values())
@@ -419,10 +427,12 @@ class FactorMap:
 @dataclass(frozen=True, eq=False)
 class ZigzagEmbedding:
     """A verified isometric embedding of a digraph into a product of
-    path graphs, one coordinate per factor map."""
+    path graphs, one coordinate per factor map; ``distances`` is the
+    distance table that the factors reproduce."""
 
     graph: Digraph
     factors: tuple[FactorMap, ...]
+    distances: Mapping[tuple[str, str], UpSet]
 
     def coordinates(self, v: str) -> tuple[int, ...]:
         self.graph._check_vertex(v)
@@ -538,14 +548,7 @@ def embed_into_zigzag_product(
     the coordinatewise join of the factor distances is then verified
     to reproduce every source distance.
     """
-    dists = all_zigzag_distances(g, maxlen)
-    bad = sorted(pair for pair, d in dists.items() if not d.complete)
-    if bad:
-        raise CapError(
-            f"the zigzag distance for {bad[0]} is not certified complete; "
-            "raise maxlen"
-        )
-    values = {pair: d.value for pair, d in dists.items()}
+    values = _complete_distances(g, maxlen)
     not_cut = sorted(pair for pair, v in values.items() if not words.in_macneille(v))
     if not_cut:
         raise HypothesisError(
@@ -581,7 +584,7 @@ def embed_into_zigzag_product(
     violation = embedding_violation(g.vertices, values, factors)
     if violation is not None:
         raise InternalCheckError(f"the product embedding fails: {violation}")
-    return ZigzagEmbedding(g, factors)
+    return ZigzagEmbedding(g, factors, values)
 
 
 # ------------------------------------------------------------ boundedness

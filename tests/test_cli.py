@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import relmetric
+from relmetric import cli, zigzag
 from relmetric.cli import main
 
 VEE_GRAPH = {
@@ -37,6 +38,34 @@ V4_SPACE = {
     "monoid": "V4",
     "dist": {"x,x": "0", "x,y": "+", "y,x": "-", "y,y": "0"},
 }
+# the two-point space over the inline two-value chain 0 <= 1
+TABLE_SPACE = {
+    "elements": ["x", "y"],
+    "monoid": {
+        "carrier": ["0", "1"],
+        "leq": [["0", "1"]],
+        "oplus": {"0,0": "0", "0,1": "1", "1,0": "1", "1,1": "1"},
+        "involution": {"0": "0", "1": "1"},
+    },
+    "dist": {"x,x": "0", "x,y": "1", "y,x": "1", "y,y": "0"},
+}
+FENCE_VEE_DEMO = {
+    "kind": "fence-retract",
+    "orientations": ["+-", "+"],
+    "sub": ["v0|v0", "v1|v0", "v2|v0"],
+    "retraction": {f"v{i}|v{j}": f"v{i}|v0" for i in range(3) for j in range(2)},
+    "maps": [{"v0|v0": "v0|v0", "v1|v0": "v1|v0", "v2|v0": "v1|v0"}],
+}
+
+
+def replaced(doc, path: tuple, value):
+    """A copy of the JSON document with the value at ``path`` replaced."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
 
 
 def write(tmp_path: Path, name: str, doc) -> str:
@@ -220,8 +249,27 @@ def test_relsys_has_no_distance(tmp_path, capsys):
             {"elements": ["x"], "monoid": "word-algebra", "dist": {"x,x": [""]}},
             "dist.x,x",
         ),
+        (replaced(V4_SPACE, ("dist", "x,x"), [1]), "dist.x,x"),
+        (replaced(TABLE_SPACE, ("dist", "x,y"), [1]), "dist.x,y"),
+        (
+            replaced(TABLE_SPACE, ("monoid", "oplus", "0,0"), ["0"]),
+            "monoid.oplus.0,0",
+        ),
+        (
+            replaced(TABLE_SPACE, ("monoid", "involution", "1"), [1]),
+            "monoid.involution.1",
+        ),
     ],
-    ids=["one-element-pair", "dist-list", "list-vertex", "word-array"],
+    ids=[
+        "one-element-pair",
+        "dist-list",
+        "list-vertex",
+        "word-array",
+        "v4-dist-list",
+        "table-dist-list",
+        "table-oplus-list",
+        "table-involution-list",
+    ],
 )
 def test_malformed_input_names_its_json_path(tmp_path, capsys, doc, path):
     file = write(tmp_path, "bad.json", doc)
@@ -264,6 +312,18 @@ CHECK = ["check", "normal"]
         (["demo"], _retract_demo(["+", 1]), "factor_words[1]"),
         (["verify"], _retract_demo("+"), "factor_words"),
         (["verify"], _retract_demo(["x"]), "factor_words[0]"),
+    ]
+    + [
+        (argv, replaced(doc, (field,), value), path)
+        for argv in (["demo"], ["verify"])
+        for doc, field, value, path in (
+            (FENCE_VEE_DEMO, "orientations", 5, "orientations"),
+            (FENCE_VEE_DEMO, "orientations", [5], "orientations[0]"),
+            (FENCE_VEE_DEMO, "sub", 5, "sub"),
+            (_retract_demo(["+"]), "retraction", 5, "retraction"),
+            (_retract_demo(["+"]), "maps", 5, "maps"),
+            (_retract_demo(["+"]), "maps", [5], "maps[0]"),
+        )
     ],
     ids=[
         "bound-string",
@@ -276,6 +336,11 @@ CHECK = ["check", "normal"]
         "demo-word-int",
         "verify-words-string",
         "verify-word-letter",
+    ]
+    + [
+        f"{command}-{name}"
+        for command in ("demo", "verify")
+        for name in ("orientations", "word", "sub", "retraction", "maps", "map")
     ],
 )
 def test_malformed_option_value_names_its_json_path(
@@ -328,6 +393,72 @@ def test_inline_table_monoid(tmp_path):
     path = write(tmp_path, "s.json", doc)
     code, payload, _ = run_to_file(tmp_path, ["check", "axioms", "--input", path])
     assert code == 0 and payload["verdict"] is True
+
+
+FUZZ_VALUES = (5, "x", [1], {}, None, True)
+# one valid document of each kind, and the command run on it
+FUZZ_CASES = {
+    "digraph-embed": (VEE_GRAPH, ["embed"]),
+    "digraph-normal": (VEE_GRAPH, ["check", "normal"]),
+    "poset": (CHAIN_POSET, ["holes"]),
+    "v4-space": (V4_SPACE, ["distance", "--from", "x", "--to", "y"]),
+    "word-space": (_word_space(1), ["check", "axioms"]),
+    "table-space": (TABLE_SPACE, ["embed"]),
+    "relsys": (
+        {"elements": ["x", "y"], "relations": {"E": [["x", "x"], ["y", "y"]]}},
+        ["check", "normal"],
+    ),
+    "fence-demo": (FENCE_VEE_DEMO, ["demo"]),
+    "zigzag-demo": (_retract_demo(["+"]), ["demo"]),
+    "maps": ({"0": "0", "1": "1", "2": "1"}, None),
+}
+
+
+def field_paths(doc, prefix=()):
+    """The path of every field and nested value of a JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from field_paths(value, prefix + (key,))
+
+
+@pytest.mark.parametrize("case", sorted(FUZZ_CASES))
+def test_mutated_documents_never_end_in_a_traceback(tmp_path, capsys, case):
+    # Every field and nested value is replaced by each value of
+    # FUZZ_VALUES in turn.  The command must run on the mutated document,
+    # and verify must check the certificate of the valid document against
+    # it, without an exception escaping main or exit 1 (internal error).
+    doc, argv = FUZZ_CASES[case]
+    document = write(tmp_path, "in.json", doc)
+    if argv is None:  # the document is the map file of a fixpoint
+        graph = write(tmp_path, "g.json", VEE_GRAPH)
+        argv = ["fixpoint", "--input", graph, "--maps", document]
+    else:
+        argv = argv + ["--input", document]
+    cert = str(tmp_path / "cert.json")
+    assert main(argv + ["--out", cert]) == 0
+    runs = (
+        argv + ["--out", str(tmp_path / "out.json")],
+        ["verify", "--cert", cert, "--out", str(tmp_path / "out.json")],
+    )
+    failures = []
+    for path in field_paths(doc):
+        for value in FUZZ_VALUES:
+            write(tmp_path, "in.json", replaced(doc, path, value))
+            for run in runs:
+                try:
+                    code = main(run)
+                except Exception as exc:
+                    code = f"{type(exc).__name__}: {exc}"
+                if code not in (0, 2, 3, 4):
+                    failures.append((run[0], path, value, code))
+    capsys.readouterr()
+    assert failures == []
 
 
 # -------------------------------------------------------------- distance
@@ -485,15 +616,6 @@ def test_fixpoint_cert_tamper_detected(tmp_path):
     assert "fixed points" in vout["detail"]
 
 
-FENCE_VEE_DEMO = {
-    "kind": "fence-retract",
-    "orientations": ["+-", "+"],
-    "sub": ["v0|v0", "v1|v0", "v2|v0"],
-    "retraction": {f"v{i}|v{j}": f"v{i}|v0" for i in range(3) for j in range(2)},
-    "maps": [{"v0|v0": "v0|v0", "v1|v0": "v1|v0", "v2|v0": "v1|v0"}],
-}
-
-
 @pytest.mark.parametrize("tamper", ["anchor", "drop"])
 @pytest.mark.parametrize(
     "doc, mapping",
@@ -536,6 +658,26 @@ def test_embed_digraph_and_verify(tmp_path):
     assert set(payload["coordinates"]) == {"0", "1", "2"}
     vcode, vout = verify(tmp_path, cert)
     assert vcode == 0 and vout["verdict"] is True
+
+
+def test_embed_searches_each_distance_once(tmp_path, monkeypatch):
+    searched = []
+
+    def counted(search):
+        def run(g, x, y, *args, **kwargs):
+            searched.append((x, y))
+            return search(g, x, y, *args, **kwargs)
+
+        return run
+
+    for module in (cli, zigzag):
+        monkeypatch.setattr(module, "zz_generators", counted(module.zz_generators))
+    path = write(tmp_path, "g.json", VEE_GRAPH)
+    code, payload, _ = run_to_file(tmp_path, ["embed", "--input", path])
+    assert code == 0
+    pairs = [(x, y) for x in "012" for y in "012"]
+    assert sorted(searched) == pairs
+    assert sorted(payload["distances"]) == [f"{x},{y}" for x, y in pairs]
 
 
 def test_embed_rejects_non_cut_distances(tmp_path, capsys):
@@ -621,6 +763,10 @@ def _input_as_list(payload):
     payload["input"] = [payload["input"]]
 
 
+def _maxlen_as_string(payload):
+    payload["options"]["maxlen"] = "4"
+
+
 EMBED = ["embed"]
 DISTANCE = ["distance", "--from", "0", "--to", "2"]
 
@@ -635,6 +781,7 @@ DISTANCE = ["distance", "--from", "0", "--to", "2"]
         (["holes"], VEE_POSET, _hole_as_list, "holes[0]: expected a JSON"),
         (DISTANCE, REFLEXIVE_VEE, _endpoint_as_list, "from: expected a name"),
         (DISTANCE, REFLEXIVE_VEE, _input_as_list, "input: expected a name"),
+        (["check", "axioms"], REFLEXIVE_VEE, _maxlen_as_string, "options.maxlen:"),
     ],
     ids=[
         "distances-list",
@@ -644,6 +791,7 @@ DISTANCE = ["distance", "--from", "0", "--to", "2"]
         "hole-list",
         "endpoint-list",
         "input-list",
+        "maxlen-string",
     ],
 )
 def test_malformed_certificate_names_its_json_path(
@@ -870,6 +1018,25 @@ def test_verify_check_cert_roundtrip_and_tamper(tmp_path):
     _, vout = verify(tmp_path, cert)
     assert vout["verdict"] is False
     assert "verdict" in vout["detail"]
+
+
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (["check", "axioms"], "verdict", False),
+        (["distance", "--from", "x", "--to", "y"], "value", "-"),
+        (["embed"], "coordinates", {}),
+    ],
+    ids=["check", "distance", "embed"],
+)
+def test_recomputed_space_certificate_tamper_detected(tmp_path, argv, key, value):
+    path = write(tmp_path, "s.json", V4_SPACE)
+    _, payload, cert = run_to_file(tmp_path, argv + ["--input", path])
+    payload[key] = value
+    Path(cert).write_text(json.dumps(payload))
+    vcode, vout = verify(tmp_path, cert)
+    assert vcode == 0 and vout["verdict"] is False
+    assert key in vout["detail"]
 
 
 def test_verify_input_override(tmp_path):
