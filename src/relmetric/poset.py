@@ -26,6 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import CapError, HypothesisError, InputError, InternalCheckError
 from .relsys import OLRResult, SelfMap, _bits, _subset_mask, retraction_violation
+from .relsys import _transitive_closure
 from .vmetric import PRODUCT_CAP, RadiusMap, TableMonoid, VSpace, v4_monoid
 from .words import check_word
 
@@ -57,23 +58,17 @@ class Poset:
             if not isinstance(x, str) or not x or "," in x:
                 raise InputError("element names must be nonempty and comma-free")
         idx = {x: i for i, x in enumerate(els)}
-        n = len(els)
-        rel = [[False] * n for _ in range(n)]
+        above = [0] * len(els)
         for x, y in pairs:
             if x not in idx or y not in idx:
                 raise InputError(f"order pair ({x!r}, {y!r}) leaves the elements")
-            rel[idx[x]][idx[y]] = True
-        for k in range(n):
-            for i in range(n):
-                if rel[i][k]:
-                    for j in range(n):
-                        if rel[k][j]:
-                            rel[i][j] = True
-        for i in range(n):
-            if rel[i][i]:
+            above[idx[x]] |= 1 << idx[y]
+        above = _transitive_closure(above)
+        for i, row in enumerate(above):
+            if row >> i & 1:
                 raise InputError(f"order cycle through {els[i]!r}")
         closed = frozenset(
-            (els[i], els[j]) for i in range(n) for j in range(n) if rel[i][j]
+            (els[i], els[j]) for i, row in enumerate(above) for j in _bits(row)
         )
         return Poset(els, closed)
 
@@ -375,10 +370,6 @@ def _tarski(p: Poset, maps) -> tuple[tuple[str, ...], OLRResult]:
     selfmaps = [_as_selfmap(p, f) for f in maps]
     if not p.is_complete_lattice():
         raise HypothesisError("the poset is not a complete lattice")
-    for f in selfmaps:
-        for g in selfmaps:
-            if f.compose(g).pairs != g.compose(f).pairs:
-                raise InputError("the maps do not commute")
     rs = poset_to_vspace(p).to_relsys()
     common, cert = rs.common_fixed_points(selfmaps)
     if not p.restrict(common).is_complete_lattice():

@@ -17,6 +17,12 @@ structure and the one-local-retract test work on that table.  A set A
 is equally centered when its radius set equals its diameter set; on
 the table that reads: for every relation r, if some x in A has
 A inside B(x, r), then every x in A has it.
+
+A system enumerates its ball intersections once and keeps them; the
+normal-structure test reads them.  The enumeration is bounded by the
+number of intersections it finds, ``BALLSET_CAP``, not by the number
+of elements: a system of at most 12 elements has fewer nonempty
+subsets than that.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from .errors import (
     StructureError,
 )
 
-BALLSET_CAP = 12
+BALLSET_CAP = 1 << 12
 
 
 def _bits(mask: int):
@@ -42,6 +48,18 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _transitive_closure(rows) -> list[int]:
+    """Warshall's closure on row masks: bit j of row i is set in the
+    result when j is reachable from i in one or more steps."""
+    rows = list(rows)
+    for k in range(len(rows)):
+        bit, row_k = 1 << k, rows[k]
+        for i, row in enumerate(rows):
+            if row & bit:
+                rows[i] = row | row_k
+    return rows
 
 
 def _subset_mask(index: dict[str, int], subset) -> int:
@@ -83,9 +101,6 @@ class SelfMap:
     def __call__(self, x: str) -> str:
         return self.as_dict[x]
 
-    def image(self, subset) -> frozenset[str]:
-        return frozenset(self.as_dict[x] for x in subset)
-
     def fixed_points(self) -> frozenset[str]:
         return frozenset(x for x, y in self.pairs if x == y)
 
@@ -125,6 +140,7 @@ class BallSetMember:
 
     support: frozenset[str]
     witness: tuple[tuple[str, str], ...]  # (center, relation) pairs; () is E
+    mask: int  # the support over the system's sorted elements
 
 
 @dataclass(frozen=True)
@@ -166,14 +182,10 @@ class RelSys:
     def relation_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.relations)
 
-    @cached_property
-    def _rel_index(self) -> dict[str, int]:
-        return {name: r for r, name in enumerate(self.relation_names)}
-
     def _rel_position(self, name: str) -> int:
         try:
-            return self._rel_index[name]
-        except KeyError:
+            return self.relation_names.index(name)
+        except ValueError:
             raise InputError(f"unknown relation {name!r}") from None
 
     def rel(self, name: str) -> frozenset[tuple[str, str]]:
@@ -287,25 +299,29 @@ class RelSys:
         diameter set when every x in A has it; so a nonempty A is
         equally centered when, for every r, some implies every.  The
         empty set has no radius and every relation as diameter."""
-        points = [self._position(x) for x in frozenset(subset)]
-        a = sum(1 << i for i in points)
+        a = sum(1 << self._position(x) for x in frozenset(subset))
+        return self._equally_centered(a)
+
+    def _equally_centered(self, a: int) -> bool:
+        points = list(_bits(a))
         for row in self._balls:
             inside = [a & ~row[i] == 0 for i in points]
             if any(inside) and not all(inside):
                 return False
-        return bool(points) or not self.relations
+        return bool(a) or not self.relations
 
     # ------------------------------------------------- ball intersections
 
-    def ball_intersections(self, cap: int = BALLSET_CAP) -> tuple[BallSetMember, ...]:
+    def ball_intersections(self) -> tuple[BallSetMember, ...]:
         """All nonempty intersections of balls, including E (the empty
         intersection), each with one witnessing ball family: the first
         found by a breadth-first scan that meets each new intersection
-        with every ball, centers outermost."""
-        if len(self.elements) > cap:
-            raise CapError(
-                f"ball-intersection enumeration supports at most {cap} elements"
-            )
+        with every ball, centers outermost.  Enumerated once per system;
+        more than ``BALLSET_CAP`` intersections raise ``CapError``."""
+        return self._ball_sets
+
+    @cached_property
+    def _ball_sets(self) -> tuple[BallSetMember, ...]:
         full = (1 << len(self.elements)) - 1
         found: dict[int, tuple] = {full: ()}
         frontier = [full]
@@ -323,19 +339,21 @@ class RelSys:
                     if inter and inter not in found:
                         found[inter] = witness + (tag,)
                         nxt.append(inter)
+                        if len(found) > BALLSET_CAP:
+                            raise CapError(
+                                f"more than {BALLSET_CAP} ball intersections"
+                            )
             frontier = nxt
         keyed = sorted((m.bit_count(), tuple(_bits(m)), m) for m in found)
         return tuple(
-            BallSetMember(self._names(m), found[m]) for _, _, m in keyed
+            BallSetMember(self._names(m), found[m], m) for _, _, m in keyed
         )
 
-    def has_normal_structure(
-        self, cap: int = BALLSET_CAP
-    ) -> tuple[bool, frozenset[str] | None]:
+    def has_normal_structure(self) -> tuple[bool, frozenset[str] | None]:
         """No nonempty ball intersection other than a singleton is
         equally centered.  Returns the verdict and a counterexample."""
-        for m in self.ball_intersections(cap):
-            if len(m.support) != 1 and self.is_equally_centered(m.support):
+        for m in self.ball_intersections():
+            if len(m.support) != 1 and self._equally_centered(m.mask):
                 return False, m.support
         return True, None
 
@@ -360,22 +378,12 @@ class RelSys:
 
     # --------------------------------------------------------- fixed points
 
-    def common_fixed_points(
-        self, maps, cap: int = BALLSET_CAP
-    ) -> tuple[frozenset[str], OLRResult]:
-        """The common fixed-point set of a commuting family of
-        endomorphisms of a reflexive involutive system with normal
-        structure, with a certificate that it is a one-local retract."""
+    def fixed_set(self, maps) -> tuple[frozenset[str], OLRResult]:
+        """The common fixed-point set of commuting endomorphisms and the
+        one-local-retract test of it.  A map that is not an
+        endomorphism, or two maps that do not commute, raise
+        ``InputError``."""
         maps = list(maps)
-        if not self.is_reflexive:
-            raise StructureError("common fixed points need a reflexive system")
-        if not self.is_involutive:
-            raise StructureError("common fixed points need an involutive system")
-        ok, witness = self.has_normal_structure(cap)
-        if not ok:
-            raise HypothesisError(
-                f"no normal structure: {sorted(witness)} is equally centered"
-            )
         for i, f in enumerate(maps):
             if not self.is_endomorphism(f):
                 raise InputError(f"map {i} is not an endomorphism")
@@ -385,11 +393,26 @@ class RelSys:
         fix = frozenset(self.elements)
         for f in maps:
             fix &= f.fixed_points()
+        return fix, self.is_one_local_retract(fix)
+
+    def common_fixed_points(self, maps) -> tuple[frozenset[str], OLRResult]:
+        """The common fixed-point set of a commuting family of
+        endomorphisms of a reflexive involutive system with normal
+        structure, with a certificate that it is a one-local retract."""
+        if not self.is_reflexive:
+            raise StructureError("common fixed points need a reflexive system")
+        if not self.is_involutive:
+            raise StructureError("common fixed points need an involutive system")
+        ok, witness = self.has_normal_structure()
+        if not ok:
+            raise HypothesisError(
+                f"no normal structure: {sorted(witness)} is equally centered"
+            )
+        fix, olr = self.fixed_set(maps)
         if not fix:
             raise InternalCheckError(
                 "commuting family on a normal system has no common fixed point"
             )
-        olr = self.is_one_local_retract(fix)
         if not olr.ok:
             raise InternalCheckError(
                 "common fixed-point set is not a one-local retract"

@@ -56,7 +56,7 @@ from .errors import (
     InternalCheckError,
     StructureError,
 )
-from .relsys import RelSys, _bits
+from .relsys import RelSys, _bits, _transitive_closure
 from .words import UpSet
 
 CARRIER_CAP = 512
@@ -78,13 +78,6 @@ class ValueMonoid:
     @cached_property
     def _index(self) -> dict:
         return {v: i for i, v in enumerate(self.carrier)}
-
-    @cached_property
-    def _class_maxima(self) -> dict[int, tuple[list, list]]:
-        """For a mask of carrier indices: its maximal values and their
-        involutes; filled by :meth:`VSpace.is_hyperconvex` as ball
-        classes come up, so at most one entry per class seen."""
-        return {}
 
     def contains(self, v) -> bool:
         return v in self._index
@@ -184,24 +177,18 @@ class TableMonoid(ValueMonoid):
         if not all(isinstance(x, str) and x for x in els):
             raise InputError("carrier values must be nonempty strings")
         idx = {x: i for i, x in enumerate(els)}
-        n = len(els)
-        rel = [[i == j for j in range(n)] for i in range(n)]
+        up = [1 << i for i in range(len(els))]
         for x, y in leq:
             if x not in idx or y not in idx:
                 raise InputError(f"order pair ({x!r}, {y!r}) leaves the carrier")
-            rel[idx[x]][idx[y]] = True
-        for k in range(n):
-            for i in range(n):
-                if rel[i][k]:
-                    for j in range(n):
-                        if rel[k][j]:
-                            rel[i][j] = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rel[i][j] and rel[j][i]:
+            up[idx[x]] |= 1 << idx[y]
+        up = _transitive_closure(up)
+        for i, row in enumerate(up):
+            for j in _bits(row):
+                if j > i and up[j] >> i & 1:
                     raise InputError(f"order cycle through {els[i]!r} and {els[j]!r}")
         pairs = frozenset(
-            (els[i], els[j]) for i in range(n) for j in range(n) if rel[i][j]
+            (els[i], els[j]) for i, row in enumerate(up) for j in _bits(row)
         )
         rows = []
         for a in els:
@@ -859,19 +846,24 @@ class VSpace:
     # ------------------------------------------------------ relational view
 
     def to_relsys(self) -> RelSys:
-        """One relation per carrier value v holding the pairs at
-        distance at most v; reflexive and involutive whenever the
-        axioms hold."""
+        """One relation per distinct set of pairs at distance at most v,
+        over the carrier values v, named by the least value that gives
+        it; reflexive and involutive whenever the axioms hold.  The
+        carrier is a lattice, so that least value is the join of the
+        distances of the pairs."""
         m = self.monoid
         els = self.elements
-        rels = {}
-        for k, v in enumerate(m.carrier):
-            rels[m.name(v)] = frozenset(
-                (x, els[j])
-                for x, row in zip(els, self._balls)
-                for j in _bits(row[k])
+        groups: dict[tuple[int, ...], int] = {}
+        for k, column in enumerate(zip(*self._balls)):
+            groups[column] = groups.get(column, 0) | 1 << k
+        rels = []
+        for column, group in groups.items():
+            least = next(k for k in _bits(group) if m._up[k] & group == group)
+            pairs = frozenset(
+                (x, els[j]) for x, ball in zip(els, column) for j in _bits(ball)
             )
-        return RelSys(els, tuple(sorted(rels.items())))
+            rels.append((m.name(m.carrier[least]), pairs))
+        return RelSys(els, tuple(sorted(rels)))
 
     # ------------------------------------------------------- hyperconvexity
 
@@ -897,7 +889,8 @@ class VSpace:
         m = self.monoid
         balls = self._balls
         up = m._up
-        maxima = m._class_maxima
+        # a mask of carrier indices -> its maximal values and their involutes
+        maxima: dict[int, tuple[list, list]] = {}
         # classes[i]: (ball mask, maximal radii, their involutes) for
         # every distinct ball around elements[i].
         classes = []

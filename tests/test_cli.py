@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -614,6 +615,98 @@ def test_fixpoint_cert_tamper_detected(tmp_path):
     _, vout = verify(tmp_path, cert)
     assert vout["verdict"] is False
     assert "fixed points" in vout["detail"]
+
+
+@pytest.mark.parametrize(
+    "edited, detail",
+    [
+        ({"0": "1", "1": "0", "2": "2"}, "map 1 is not an endomorphism"),
+        ({"0": "2", "1": "2", "2": "2"}, "maps 0 and 1 do not commute"),
+    ],
+    ids=["not-an-endomorphism", "not-commuting"],
+)
+def test_verify_of_an_edited_map_file_is_a_false_verdict(tmp_path, edited, detail):
+    gpath = write(tmp_path, "g.json", VEE_GRAPH)
+    constant = {"0": "0", "1": "0", "2": "0"}
+    m1 = write(tmp_path, "m1.json", constant)
+    m2 = write(tmp_path, "m2.json", constant)
+    code, _, cert = run_to_file(
+        tmp_path, ["fixpoint", "--input", gpath, "--maps", m1, m2]
+    )
+    assert code == 0
+    write(tmp_path, "m2.json", edited)
+    vcode, vout = verify(tmp_path, cert)
+    assert vcode == 0
+    assert vout["verdict"] is False
+    assert vout["detail"] == f"mismatch at {detail}"
+
+
+def grid_lattice(n: int) -> dict:
+    """The product of two n-element chains, as a poset document."""
+    els = [f"{i}_{j}" for i in range(n) for j in range(n)]
+    covers = [[f"{i}_{j}", f"{i + 1}_{j}"] for i in range(n - 1) for j in range(n)]
+    covers += [[f"{i}_{j}", f"{i}_{j + 1}"] for i in range(n) for j in range(n - 1)]
+    return {"elements": els, "covers": covers}
+
+
+def grid_shift(n: int) -> dict:
+    """The order-preserving map (i, j) -> (min(i + 1, n - 1), j)."""
+    return {f"{i}_{j}": f"{min(i + 1, n - 1)}_{j}" for i in range(n) for j in range(n)}
+
+
+def test_normal_structure_and_fixpoint_on_the_4x4_grid(tmp_path):
+    ppath = write(tmp_path, "p.json", grid_lattice(4))
+    code, payload, cert = run_to_file(tmp_path, ["check", "normal", "--input", ppath])
+    assert code == 0 and payload["verdict"] is True
+    assert verify(tmp_path, cert)[1]["verdict"] is True
+    mpath = write(tmp_path, "m.json", grid_shift(4))
+    code, payload, cert = run_to_file(
+        tmp_path, ["fixpoint", "--input", ppath, "--maps", mpath]
+    )
+    assert code == 0
+    assert payload["fixed_points"] == [f"3_{j}" for j in range(4)]
+    assert verify(tmp_path, cert)[1]["verdict"] is True
+
+
+def test_fixpoint_on_the_10x10_grid_is_fast(tmp_path):
+    ppath = write(tmp_path, "p.json", grid_lattice(10))
+    mpath = write(tmp_path, "m.json", grid_shift(10))
+    start = time.perf_counter()
+    code, payload, _ = run_to_file(
+        tmp_path, ["fixpoint", "--input", ppath, "--maps", mpath]
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert payload["fixed_points"] == [f"9_{j}" for j in range(10)]
+
+
+def test_ball_intersection_bound_refuses_quickly(tmp_path, capsys):
+    # R holds every pair except (i, i+1 mod 13); with its inverse, every
+    # nonempty subset of the 13 elements is a ball intersection
+    els = [f"{i:02d}" for i in range(13)]
+    r = [
+        [x, y]
+        for i, x in enumerate(els)
+        for j, y in enumerate(els)
+        if j != (i + 1) % 13
+    ]
+    doc = {"elements": els, "relations": {"R": r, "S": [[y, x] for x, y in r]}}
+    path = write(tmp_path, "r.json", doc)
+    start = time.perf_counter()
+    assert main(["check", "normal", "--input", path]) == 3
+    assert time.perf_counter() - start < 2.0
+    assert "more than 4096 ball intersections" in capsys.readouterr().err
+
+
+def test_cap_does_not_bound_normal_structure_of_a_relsys(tmp_path):
+    els = [f"e{i:02d}" for i in range(16)]
+    le = [[x, y] for x in els for y in els if x <= y]
+    doc = {"elements": els, "relations": {"le": le, "ge": [[y, x] for x, y in le]}}
+    path = write(tmp_path, "r.json", doc)
+    code, payload, _ = run_to_file(
+        tmp_path, ["check", "normal", "--cap", "5", "--input", path]
+    )
+    assert code == 0 and payload["verdict"] is True
 
 
 @pytest.mark.parametrize("tamper", ["anchor", "drop"])

@@ -68,6 +68,9 @@ def test_make_closes_transitively_and_rejects_cycles():
         Poset.make(["a"], {("a", "z")})
     with pytest.raises(InputError, match="at least one"):
         Poset.make([], set())
+    # the first element in sorted order that lies on a cycle is named
+    with pytest.raises(InputError, match="^order cycle through 'b'$"):
+        Poset.make(["a", "b", "c"], {("a", "b"), ("b", "c"), ("c", "b")})
 
 
 def test_covers_drop_composite_pairs():

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_reflexive_involutive_system
-from relmetric.errors import HypothesisError, InputError, StructureError
-from relmetric.relsys import RelSys, SelfMap
+from relmetric.errors import CapError, HypothesisError, InputError, StructureError
+from relmetric.relsys import BALLSET_CAP, RelSys, SelfMap
 
 
 def two_chain() -> RelSys:
@@ -128,6 +128,36 @@ def test_ball_intersections_two_chain():
         assert inter == m.support
 
 
+def ring(n: int) -> RelSys:
+    """R holds every pair except (i, i+1 mod n), with its inverse; each
+    ball misses one point, so every nonempty subset is an intersection."""
+    els = [f"{i:02d}" for i in range(n)]
+    r = [
+        (x, y)
+        for i, x in enumerate(els)
+        for j, y in enumerate(els)
+        if j != (i + 1) % n
+    ]
+    return RelSys.make(els, {"R": r, "S": [(y, x) for x, y in r]})
+
+
+def test_ball_intersection_bound_counts_intersections():
+    assert BALLSET_CAP == 4096
+    assert len(ring(12).ball_intersections()) == 2**12 - 1
+    s = ring(13)
+    with pytest.raises(CapError, match="more than 4096 ball intersections"):
+        s.ball_intersections()
+    with pytest.raises(CapError, match="4096"):
+        s.has_normal_structure()
+
+
+def test_ball_intersections_are_kept_per_system():
+    s = diamond()
+    assert s.ball_intersections() is s.ball_intersections()
+    for m in s.ball_intersections():
+        assert m.support == {s.elements[i] for i in range(4) if m.mask >> i & 1}
+
+
 def test_normal_structure_examples():
     ok, witness = two_chain().has_normal_structure()
     assert ok and witness is None
@@ -210,6 +240,16 @@ def test_common_fixed_points_empty_family():
     s = two_chain()
     fix, olr = s.common_fixed_points([])
     assert fix == {"0", "1"} and olr.ok
+
+
+def test_fixed_set_checks_the_maps_but_not_the_hypotheses():
+    s = crown()  # no normal structure
+    ident = SelfMap(tuple((x, x) for x in s.elements))
+    fix, olr = s.fixed_set([ident])
+    assert fix == set(s.elements) and olr.ok
+    flip = SelfMap((("a", "c"), ("b", "d"), ("c", "a"), ("d", "b")))
+    with pytest.raises(InputError, match="map 1 is not an endomorphism"):
+        s.fixed_set([ident, flip])
 
 
 # -------------------------------------------------------- one-local retracts

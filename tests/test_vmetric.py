@@ -174,6 +174,14 @@ def test_table_monoid_rejects_bad_structure():
             {(x, y): "a" for x in "ab" for y in "ab"},
             {"a": "a", "b": "b"},
         )
+    # the first pair in carrier order that lies on a cycle is named, in order
+    with pytest.raises(InputError, match="^order cycle through 'b' and 'c'$"):
+        TableMonoid.make(
+            ["a", "b", "c"],
+            [("a", "b"), ("c", "b"), ("b", "c")],
+            {(x, y): "a" for x in "abc" for y in "abc"},
+            {x: x for x in "abc"},
+        )
     # truncated addition with 1 (+) 1 flattened to 1 stays monotone and
     # commutative but loses associativity: (1+1)+2 = 3 while 1+(1+2) = 4
     chain = ["0", "1", "2", "3", "4"]
@@ -745,6 +753,48 @@ def test_relational_view_agrees_on_derived_notions():
             )
         }
         assert s.is_equally_centered(subset) == rs.is_equally_centered(subset)
+
+
+def reflexive_three_vertex_digraphs() -> list[Digraph]:
+    vs = ["a", "b", "c"]
+    cells = [(x, y) for x in vs for y in vs if x != y]
+    return [
+        Digraph.make(vs, [c for c, b in zip(cells, bits) if b], add_loops=True)
+        for bits in product((False, True), repeat=len(cells))
+    ]
+
+
+def carrier_relations(s: VSpace) -> dict[frozenset, list]:
+    """Oracle: the pair set {(x, y) : d(x, y) <= v} of every carrier
+    value v, read with the monoid's order, grouped by pair set."""
+    m = s.monoid
+    groups: dict[frozenset, list] = {}
+    for v in m.carrier:
+        pairs = frozenset(
+            (x, y) for x in s.elements for y in s.elements if m.leq(s.d(x, y), v)
+        )
+        groups.setdefault(pairs, []).append(v)
+    return groups
+
+
+def test_relational_view_has_one_relation_per_distinct_pair_set():
+    spaces = [zigzag_space(g) for g in reflexive_three_vertex_digraphs()]
+    spaces += [
+        v4_space_from_order([str(i) for i in range(4)], lt)
+        for lt in all_strict_orders(4)
+    ]
+    assert len(spaces) == 64 + 219
+    for s in spaces:
+        m = s.monoid
+        rs = s.to_relsys()
+        groups = carrier_relations(s)
+        assert sorted(rs.relation_names) == list(rs.relation_names)
+        assert {pairs for _, pairs in rs.relations} == set(groups)
+        for name, pairs in rs.relations:
+            (least,) = [
+                v for v in groups[pairs] if all(m.leq(v, w) for w in groups[pairs])
+            ]
+            assert name == m.name(least)
 
 
 def test_monotone_maps_are_exactly_the_nonexpansive_selfmaps():
