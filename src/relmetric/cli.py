@@ -219,7 +219,7 @@ def _word_value(value: Any, path: str) -> words.UpSet:
     return parse_word_value(value)
 
 
-def _load_vspace(doc: dict, monoid_override: str | None) -> VSpace:
+def _load_vspace(doc: dict, monoid_override: str | None, carrier_cap: int) -> VSpace:
     monoid_spec = monoid_override if monoid_override is not None else doc.get("monoid")
     if monoid_spec is None:
         raise InputError("the space file needs a 'monoid' field")
@@ -235,7 +235,7 @@ def _load_vspace(doc: dict, monoid_override: str | None) -> VSpace:
                 "oplus_length_bound: expected a non-negative integer, "
                 f"got {bound!r}"
             )
-        monoid = WordValueMonoid.from_values(set(dist.values()), bound)
+        monoid = WordValueMonoid.from_values(set(dist.values()), bound, carrier_cap)
     elif isinstance(monoid_spec, dict):
         monoid = TableMonoid.make(
             _names(monoid_spec.get("carrier", []), "monoid.carrier"),
@@ -284,17 +284,13 @@ class _Inputs:
 
     @cached_property
     def space(self) -> VSpace:
+        cap = CARRIER_CAP if self.args.cap is None else self.args.cap
         if self.kind == "vspace":
-            return _load_vspace(self.doc, self.args.monoid)
+            return _load_vspace(self.doc, self.args.monoid, cap)
         if self.kind == "poset":
             return poset_to_vspace(self.poset)
         if self.kind == "digraph":
-            cap = self.args.cap
-            return zigzag_space(
-                self.digraph,
-                maxlen=self.args.maxlen,
-                carrier_cap=CARRIER_CAP if cap is None else cap,
-            )
+            return zigzag_space(self.digraph, maxlen=self.args.maxlen, carrier_cap=cap)
         raise InputError(
             "this input carries no distance; supply a space, poset, or digraph"
         )

@@ -31,20 +31,24 @@ carrier is grown by two closures: joins on up-sets, each value joined
 only with the generating values, and meets on integer masks, run to a
 fixpoint between join rounds.  The meet closure keeps each value as the
 masks of its generator words and of its up-set over an index of the
-words, and the monoid reads its order off those masks.  A space keeps
-one table of balls, the mask of B(x, v) for every element x and carrier
-index of v, where bit j stands for the j-th element in sorted order,
-built from the order masks.  Hyperconvexity (ball classes, the
-disjointness test and the clique search), holes and the relational
-view read that table; a radius outside the carrier is scanned with the
-monoid's order.
+words, and the monoid reads its order off those masks.  Closed carriers
+are kept for the life of the process, the last 64 by use, keyed by the
+generator set (the seeds, 0, top and their involutes), the product
+length bound and the cap; a refusal is kept as the text of its
+``CapError``.  A carrier is immutable and shared by every space built on
+the same key.  A space keeps one table of balls, the mask of B(x, v) for
+every element x and carrier index of v, where bit j stands for the j-th
+element in sorted order, built from the order masks.  Hyperconvexity
+(ball classes, the disjointness test and the clique search), holes and
+the relational view read that table; a radius outside the carrier is
+scanned with the monoid's order.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from itertools import product as iter_product
 from typing import Iterable, Mapping
 
@@ -577,6 +581,18 @@ class WordValueMonoid(ValueMonoid):
         oplus_length_bound: int | None = None,
         carrier_cap: int = CARRIER_CAP,
     ) -> "WordValueMonoid":
+        """The carrier generated by ``values``, closed once per process.
+
+        The values are checked first.  The bound defaults to twice the
+        longest seed generator, at least 2.  The result is then looked
+        up in a memo of the last 64 closures, keyed by the frozen
+        generator set (the seeds, 0, top and their involutes), the
+        resolved bound and ``carrier_cap``: seed sets that give the same
+        generators, in any order, share one immutable carrier.  A
+        refusal is kept as the text of its ``CapError`` alone, and each
+        later call with that key raises a fresh ``CapError`` with the
+        same text, without closing again.
+        """
         seeds = set(values)
         for u in seeds:
             if not isinstance(u, UpSet):
@@ -586,43 +602,11 @@ class WordValueMonoid(ValueMonoid):
             oplus_length_bound = max(
                 2, 2 * max(u.max_generator_len() for u in seeds)
             )
-        joins = _JoinClosure(carrier_cap)
-        lattice = _MeetClosure(carrier_cap)
-        joins.push(seeds | {u.involute() for u in seeds})
-        added: list[UpSet] = []
-        while joins.pending:
-            lattice.push(joins.pending)
-            while lattice.pending:
-                added += lattice.step()
-            joins.step()
-            if joins.pending:
-                continue
-            # TOP is absorbing for concatenation and always present.
-            shortest = sorted(
-                (
-                    (min(len(g) for g in v.generators), v)
-                    for v in lattice.members
-                    if not v.is_top
-                ),
-                key=lambda pair: pair[0],
-            )
-            products = set()
-            for u in added:
-                if u.is_top:
-                    continue
-                room = oplus_length_bound - min(len(g) for g in u.generators)
-                for length, v in shortest:
-                    if length > room:
-                        break
-                    for w in (u.concat(v), v.concat(u)):
-                        if w.max_generator_len() <= oplus_length_bound:
-                            products.add(w)
-            joins.push(products.difference(lattice.members))
-            added = []
-        carrier = tuple(sorted(lattice.members, key=_upset_key))
-        return WordValueMonoid(
-            carrier, oplus_length_bound, tuple(map(lattice.masks, carrier))
-        )
+        generators = frozenset(seeds | {u.involute() for u in seeds})
+        closed = _closed_carrier(generators, oplus_length_bound, carrier_cap)
+        if isinstance(closed, str):
+            raise CapError(closed)
+        return closed
 
     def merged(self, other: "WordValueMonoid") -> "WordValueMonoid":
         return WordValueMonoid.from_values(
@@ -684,6 +668,52 @@ class WordValueMonoid(ValueMonoid):
 
     def value(self, text: str) -> UpSet:
         return parse_word_value(text)
+
+
+@lru_cache(maxsize=64)
+def _closed_carrier(
+    generators: frozenset[UpSet], bound: int, cap: int
+) -> WordValueMonoid | str:
+    """The carrier that :meth:`WordValueMonoid.from_values` closes from
+    its generators, or the text of the ``CapError`` that refuses it."""
+    joins = _JoinClosure(cap)
+    lattice = _MeetClosure(cap)
+    try:
+        joins.push(generators)
+        added: list[UpSet] = []
+        while joins.pending:
+            lattice.push(joins.pending)
+            while lattice.pending:
+                added += lattice.step()
+            joins.step()
+            if joins.pending:
+                continue
+            # TOP is absorbing for concatenation and always present.
+            shortest = sorted(
+                (
+                    (min(len(g) for g in v.generators), v)
+                    for v in lattice.members
+                    if not v.is_top
+                ),
+                key=lambda pair: pair[0],
+            )
+            products = set()
+            for u in added:
+                if u.is_top:
+                    continue
+                room = bound - min(len(g) for g in u.generators)
+                for length, v in shortest:
+                    if length > room:
+                        break
+                    for w in (u.concat(v), v.concat(u)):
+                        if w.max_generator_len() <= bound:
+                            products.add(w)
+            joins.push(products.difference(lattice.members))
+            added = []
+    except CapError as exc:
+        return str(exc)
+    carrier = tuple(sorted(lattice.members, key=_upset_key))
+    return WordValueMonoid(carrier, bound, tuple(map(lattice.masks, carrier)))
 
 
 # --------------------------------------------------------------------- spaces

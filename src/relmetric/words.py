@@ -43,6 +43,10 @@ _FLIP = str.maketrans("+-", "-+")
 # beyond this the search space is too large to scan.
 RESIDUAL_LENGTH_CAP = 18
 
+# Entries kept by each memo of this module, so a long-lived process
+# holds a bounded number of words and values.
+_CACHE_SIZE = 1 << 16
+
 
 def check_word(w: str) -> str:
     if not isinstance(w, str) or any(c not in ALPHABET for c in w):
@@ -55,7 +59,7 @@ def involute_word(w: str) -> str:
     return w[::-1].translate(_FLIP)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def is_subword(u: str, v: str) -> bool:
     """Greedy left-to-right embedding test for the subword order."""
     it = iter(v)
@@ -83,7 +87,7 @@ def minimal_words(words: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(keep))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def subwords(w: str) -> frozenset[str]:
     """All subwords of w (including the empty word and w itself)."""
     out = {""}
@@ -92,7 +96,7 @@ def subwords(w: str) -> frozenset[str]:
     return frozenset(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _mcs(u: str, v: str) -> tuple[str, ...]:
     """Minimal common superwords of two words.
 
@@ -193,7 +197,7 @@ class UpSet:
         return "^{" + ",".join("e" if g == "" else g for g in self.generators) + "}"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _join(a: UpSet, b: UpSet) -> UpSet:
     gens: list[str] = []
     for g in a.generators:
@@ -202,7 +206,7 @@ def _join(a: UpSet, b: UpSet) -> UpSet:
     return UpSet(minimal_words(gens))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _concat(a: UpSet, b: UpSet) -> UpSet:
     gens = [g + h for g in a.generators for h in b.generators]
     return UpSet(minimal_words(gens))
@@ -257,7 +261,7 @@ def right_residual(q: UpSet, p: UpSet) -> UpSet:
     return left_residual(q.involute(), p.involute()).involute()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def distance(p: UpSet, q: UpSet) -> UpSet:
     """The least r with p <= concat(q, involute(r)) and q <= concat(p, r).
 

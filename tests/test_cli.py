@@ -709,6 +709,25 @@ def test_cap_does_not_bound_normal_structure_of_a_relsys(tmp_path):
     assert code == 0 and payload["verdict"] is True
 
 
+def test_cap_bounds_the_carrier_of_a_word_algebra_space_file(tmp_path, capsys):
+    doc = {
+        "elements": ["a", "b"],
+        "monoid": "word-algebra",
+        "dist": {"a,a": '[""]', "b,b": '[""]', "a,b": '["+"]', "b,a": '["-"]'},
+    }
+    path = write(tmp_path, "s.json", doc)
+    refused = "value carrier exceeded 3 elements"
+    assert main(["check", "axioms", "--cap", "3", "--input", path]) == 3
+    assert refused in capsys.readouterr().err
+    code, payload, cert = run_to_file(tmp_path, ["check", "axioms", "--input", path])
+    assert code == 0 and payload["verdict"] is True
+    code, report = verify(tmp_path, cert)
+    assert code == 0 and report["verdict"] is True
+    payload["options"]["cap"] = 3
+    assert verify(tmp_path, write(tmp_path, "edited.json", payload))[0] == 3
+    assert refused in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tamper", ["anchor", "drop"])
 @pytest.mark.parametrize(
     "doc, mapping",

@@ -35,6 +35,7 @@ from relmetric.vmetric import (
     VSpace,
     WordValueMonoid,
     _check_carrier_size,
+    _closed_carrier,
     _upset_key,
     canonical_embedding,
     hole_image,
@@ -515,9 +516,96 @@ def test_generator_join_closure_makes_fewer_joins(monkeypatch):
         calls.clear()
         carrier_or_refusal(upset_closure_carrier, seeds, bound, CARRIER_CAP)
         reference = len(calls)
+        _closed_carrier.cache_clear()
         calls.clear()
         carrier_or_refusal(WordValueMonoid.from_values, seeds, bound)
         assert 0 < 2 * len(calls) <= reference, (word, len(calls), reference)
+
+
+def test_carrier_memo_shares_one_carrier_per_generator_set():
+    plus, minus = W.principal("+"), W.principal("-")
+    both = W.UpSet.from_words(["+", "-"])
+    m = WordValueMonoid.from_values([plus, both])
+    # the default bound is resolved before the lookup
+    assert WordValueMonoid.from_values([plus, both], 2) is m
+    # order, duplicates, 0, top and involutes give the same generators
+    for seeds in (
+        [both, plus, both, plus],
+        [minus, both, W.ZERO, W.TOP],
+        {plus, minus, both},
+    ):
+        assert WordValueMonoid.from_values(seeds) is m, seeds
+    assert WordValueMonoid.from_values([plus, both], 1) is not m
+    assert _closed_carrier.cache_info().maxsize == 64
+
+
+def test_carrier_refusal_is_kept_as_its_text(monkeypatch):
+    # the 4-vertex path is refused after join rounds, not by meets alone
+    seeds, bound = path_seeds("+-+")
+    calls = []
+    join = W.UpSet.join
+
+    def counted(a, b):
+        calls.append(None)
+        return join(a, b)
+
+    monkeypatch.setattr(W.UpSet, "join", counted)
+    _closed_carrier.cache_clear()
+    refusals = []
+    for _ in range(2):
+        calls.clear()
+        with pytest.raises(CapError, match="value carrier exceeded 512") as refused:
+            WordValueMonoid.from_values(seeds, bound)
+        refusals.append((refused.value, len(calls)))
+    (first, cold), (again, warm) = refusals
+    assert str(again) == str(first) and again is not first
+    assert cold > 0 and warm == 0
+
+
+def test_carrier_memo_keys_on_the_cap():
+    seeds = {W.principal("+")}
+    refused = "value carrier exceeded 6 elements; raise the cap or trim the seed values"
+
+    def size(cap):
+        return len(WordValueMonoid.from_values(seeds, carrier_cap=cap).carrier)
+
+    for caps in ((6, CARRIER_CAP), (CARRIER_CAP, 6)):
+        _closed_carrier.cache_clear()
+        outcomes = {cap: carrier_or_refusal(size, cap) for cap in caps}
+        assert outcomes == {6: ("CapError", refused), CARRIER_CAP: 89}, caps
+
+
+def test_memoised_carriers_equal_cold_closures():
+    rng = random.Random(67)
+    pool = W.words_up_to(3)
+    cases = []
+    for _ in range(30):
+        seeds = [
+            W.UpSet.from_words(rng.sample(pool, rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        cases.append((seeds, rng.randint(1, 3), rng.choice((40, 200))))
+
+    def closed(seeds, bound, cap):
+        m = WordValueMonoid.from_values(seeds, bound, cap)
+        return m.carrier, m._up
+
+    # every case twice, the second time in reverse order with a repeat,
+    # so most second calls are answered by the memo
+    memoised = [
+        (
+            carrier_or_refusal(closed, seeds, bound, cap),
+            carrier_or_refusal(closed, seeds[::-1] + seeds, bound, cap),
+        )
+        for seeds, bound, cap in cases
+    ]
+    kinds = set()
+    for (seeds, bound, cap), (first, second) in zip(cases, memoised):
+        _closed_carrier.cache_clear()
+        cold = carrier_or_refusal(closed, seeds, bound, cap)
+        assert first == second == cold, (seeds, bound, cap)
+        kinds.add(cold[0] if cold[0] == "CapError" else "carrier")
+    assert kinds == {"CapError", "carrier"}
 
 
 def order_first_convexity_witness(space: VSpace):

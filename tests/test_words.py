@@ -425,3 +425,10 @@ def test_iter_upsets_small():
 def test_iter_upsets_all_canonical():
     for u in W.iter_upsets(2, 2):
         assert UpSet.from_words(u.generators) == u
+
+
+def test_word_caches_are_bounded():
+    caches = [f for f in vars(W).values() if hasattr(f, "cache_info")]
+    assert len(caches) == 6
+    for f in caches:
+        assert f.cache_info().maxsize == 1 << 16, f.__name__
