@@ -22,7 +22,8 @@ Provided here:
   under maps, and the hole-preservation test.
 
 Checks that quantify over values range over the monoid's finite
-carrier; for word values every verdict is relative to that closed set.
+carrier, and word-valued verdicts are relative to that closed set; hole
+preservation and the radius are read off the distances, no enumeration.
 
 Representation: a monoid keeps its order as one mask per carrier value,
 the values above it.  A table monoid reads it off its order pairs and
@@ -64,7 +65,6 @@ from .relsys import RelSys, _bits, _transitive_closure
 from .words import UpSet
 
 CARRIER_CAP = 512
-FORM_CAP = 20_000
 PRODUCT_CAP = 256
 
 
@@ -853,13 +853,13 @@ class VSpace:
         return self.monoid.join_all(self.d(x, y) for x in a for y in a)
 
     def radius(self, subset):
-        """Meet of the carrier values v for which some point of the
-        subset covers it with a ball of radius v."""
+        """Meet of the carrier values v for which some point x of the
+        subset covers it with B(x, v).  The least such v for one x is the
+        join of d(x, y) over the subset, a carrier value as the carrier
+        is closed under joins, so this is the meet of those joins."""
         a = self._check_subset(subset)
         m = self.monoid
-        return m.meet_all(
-            v for v in m.carrier if any(a <= self.ball(x, v) for x in a)
-        )
+        return m.meet_all(m.join_all(self.d(x, y) for y in a) for x in a)
 
     def is_equally_centered(self, subset) -> bool:
         a = self._check_subset(subset)
@@ -1018,16 +1018,9 @@ def _maximal_cliques(count: int, neighbors: dict[int, set[int]]) -> list[list[in
     return out
 
 
-def word_space(
-    elements,
-    dist: Mapping,
-    oplus_length_bound: int | None = None,
-    carrier_cap: int = CARRIER_CAP,
-) -> VSpace:
+def word_space(elements, dist: Mapping) -> VSpace:
     """Build a word-valued space, deriving the carrier from the matrix."""
-    monoid = WordValueMonoid.from_values(
-        set(dist.values()), oplus_length_bound, carrier_cap
-    )
+    monoid = WordValueMonoid.from_values(set(dist.values()))
     return VSpace.make(elements, monoid, dist)
 
 
@@ -1137,9 +1130,22 @@ class VMap:
             for y in self.source.elements
         )
 
-    def is_hole_preserving(self, cap: int = FORM_CAP) -> bool:
-        """Every hole of the source must map to a hole of the target;
-        holes are enumerated over the source carrier.
+    def is_hole_preserving(self) -> bool:
+        """Every hole of the source, a radius map over its carrier, must
+        map to a hole of the target under :func:`hole_image`.
+
+        * The image of a hole h is not a hole exactly when some target
+          point t lies in every image ball.  The image radius at y is the
+          meet of h over the preimages of y, and top where y has none, so
+          this happens when ``d(f(x), t) <= h(x)`` for every source x.
+        * Holes are closed downward, because smaller radii give smaller
+          balls.  So, for a fixed t, some hole lies above the map
+          ``x -> d(f(x), t)`` iff the least carrier-valued map above it
+          is a hole.  That map is ``d(f(x), t)`` itself where the value
+          is in the source carrier, always so when both spaces share a
+          monoid; elsewhere it is the meet of the carrier values above.
+        * So f preserves holes iff that map is a source hole for no
+          target point t: |T| hole tests, not |carrier|^|S| hole images.
 
         Hole images, and with them hole preservation, are only defined
         for non-expansive maps; anything else raises.
@@ -1149,15 +1155,12 @@ class VMap:
                 "hole preservation is defined for non-expansive maps only"
             )
         m = self.source.monoid
-        els = self.source.elements
-        total = len(m.carrier) ** len(els)
-        if total > cap:
-            raise CapError(f"hole enumeration needs {total} candidates (cap {cap})")
-        for combo in iter_product(m.carrier, repeat=len(els)):
-            rm = RadiusMap(tuple(zip(els, combo)))
-            if self.source.is_hole(rm) and not self.target.is_hole(
-                hole_image(rm, self)
-            ):
+        for t in self.target.elements:
+            radii = {x: self.target.d(y, t) for x, y in self.pairs}
+            for x, v in radii.items():
+                if not m.contains(v):
+                    radii[x] = m.meet_all(c for c in m.carrier if m.leq(v, c))
+            if self.source.is_hole(RadiusMap(tuple(radii.items()))):
                 return False
         return True
 

@@ -303,13 +303,11 @@ def zz_generators(
 
 
 def all_zigzag_distances(
-    g: Digraph, maxlen: int | None = None, node_cap: int = SEARCH_NODE_CAP
+    g: Digraph, maxlen: int | None = None
 ) -> dict[tuple[str, str], ZigzagDistance]:
     """Every pairwise zigzag distance, keyed by ordered vertex pair."""
     return {
-        (x, y): zz_generators(g, x, y, maxlen, node_cap)
-        for x in g.vertices
-        for y in g.vertices
+        (x, y): zz_generators(g, x, y, maxlen) for x in g.vertices for y in g.vertices
     }
 
 
@@ -341,36 +339,25 @@ def values_in_macneille(g: Digraph, maxlen: int | None = None) -> bool | None:
 
 
 def zigzag_space(
-    g: Digraph,
-    maxlen: int | None = None,
-    oplus_length_bound: int | None = None,
-    carrier_cap: int = CARRIER_CAP,
+    g: Digraph, maxlen: int | None = None, carrier_cap: int = CARRIER_CAP
 ) -> VSpace:
     """The word-valued metric space of a reflexive digraph.
 
     All distances must be certified complete.  The value carrier is
-    the closure of the distance values at the given product-length
-    bound (default: the longest generator present), so every
-    carrier-quantified check downstream is relative to that closed
-    set.
+    the closure of the distance values with products bounded by the
+    longest generator present, so every carrier-quantified check
+    downstream is relative to that closed set.
     """
     values = _complete_distances(g, maxlen)
-    if oplus_length_bound is None:
-        oplus_length_bound = max(
-            1, max(v.max_generator_len() for v in values.values())
-        )
-    monoid = WordValueMonoid.from_values(
-        set(values.values()), oplus_length_bound, carrier_cap
-    )
+    bound = max(1, max(v.max_generator_len() for v in values.values()))
+    monoid = WordValueMonoid.from_values(set(values.values()), bound, carrier_cap)
     return VSpace.make(g.vertices, monoid, values)
 
 
 # ------------------------------------------------------ prefix embedding
 
 
-def claim_zigzag_embedding(
-    u: str, length_bound: int = PREFIX_EMBED_CAP
-) -> tuple[UpSet, ...]:
+def claim_zigzag_embedding(u: str) -> tuple[UpSet, ...]:
     """Embed the path graph of a word into the value algebra by prefixes.
 
     Position i goes to the principal up-set of the first i letters.
@@ -380,8 +367,8 @@ def claim_zigzag_embedding(
     positions, so the embedding is isometric.
     """
     words.check_word(u)
-    if len(u) > length_bound:
-        raise CapError(f"word length {len(u)} exceeds the bound {length_bound}")
+    if len(u) > PREFIX_EMBED_CAP:
+        raise CapError(f"word length {len(u)} exceeds the bound {PREFIX_EMBED_CAP}")
     phi = tuple(words.principal(u[:i]) for i in range(len(u) + 1))
     for i in range(len(u) + 1):
         for j in range(len(u) + 1):

@@ -1239,6 +1239,191 @@ def test_hole_preservation_requires_a_nonexpansive_map():
         spread.is_hole_preserving()
 
 
+# ----------------------------------------- hole preservation and the radius
+
+
+def enumerated_hole_preserving(vmap: VMap) -> bool:
+    """Oracle: every radius map over the source carrier that is a source
+    hole has a target hole as its image; |carrier|^|S| candidates."""
+    els = vmap.source.elements
+    for values in product(vmap.source.monoid.carrier, repeat=len(els)):
+        radii = RadiusMap(tuple(zip(els, values)))
+        if vmap.source.is_hole(radii) and not vmap.target.is_hole(
+            hole_image(radii, vmap)
+        ):
+            return False
+    return True
+
+
+def hole_verdicts_match_the_enumeration(maps) -> dict[bool, int]:
+    """Asserts that both tests agree on every map; counts the verdicts."""
+    verdicts = {True: 0, False: 0}
+    for vm in maps:
+        got = vm.is_hole_preserving()
+        assert got == enumerated_hole_preserving(vm), vm.pairs
+        verdicts[got] += 1
+    return verdicts
+
+
+def nonexpansive_maps(rng: random.Random, pairs, per_pair: int) -> list[VMap]:
+    """The non-expansive ones among ``per_pair`` random maps for each
+    (source, target) pair."""
+    maps = []
+    for s, t in pairs:
+        for _ in range(per_pair):
+            f = {x: rng.choice(t.elements) for x in s.elements}
+            vm = VMap.make(s, t, f)
+            if vm.is_nonexpansive():
+                maps.append(vm)
+    return maps
+
+
+def leaves_the_source_carrier(vm: VMap) -> bool:
+    """Whether some distance d(f(x), t) is outside the source carrier."""
+    m = vm.source.monoid
+    return any(
+        not m.contains(vm.target.d(y, t))
+        for _, y in vm.pairs
+        for t in vm.target.elements
+    )
+
+
+@pytest.fixture(scope="module")
+def digraph_spaces() -> list[VSpace]:
+    """The spaces of the 64 reflexive 3-vertex digraphs."""
+    return [zigzag_space(g) for g in reflexive_three_vertex_digraphs()]
+
+
+def test_hole_preservation_matches_the_enumeration_on_small_poset_selfmaps():
+    maps = []
+    for n in range(1, 4):
+        els = [str(i) for i in range(n)]
+        for lt in all_strict_orders(n):
+            s = v4_space_from_order(els, lt)
+            for values in product(els, repeat=n):
+                vm = VMap.make(s, s, dict(zip(els, values)))
+                if vm.is_nonexpansive():
+                    maps.append(vm)
+    assert len(maps) == 236
+    verdicts = hole_verdicts_match_the_enumeration(maps)
+    assert verdicts[True] and verdicts[False]
+
+
+def test_hole_preservation_matches_the_enumeration_between_posets():
+    rng = random.Random(29)
+    pairs = []
+    for _ in range(60):
+        n, k = rng.randint(1, 4), rng.randint(2, 4)
+        s = v4_space_from_order([str(i) for i in range(n)], random_strict_order(rng, n))
+        t = v4_space_from_order([str(i) for i in range(k)], random_strict_order(rng, k))
+        pairs.append((s, t))
+    verdicts = hole_verdicts_match_the_enumeration(nonexpansive_maps(rng, pairs, 12))
+    assert verdicts[True] and verdicts[False]
+
+
+def test_hole_preservation_matches_the_enumeration_on_word_maps():
+    # the reflexive 3-vertex digraph spaces whose carrier closes within 16 values
+    spaces = []
+    for g in reflexive_three_vertex_digraphs():
+        try:
+            spaces.append(zigzag_space(g, carrier_cap=16))
+        except CapError:
+            continue
+    assert len(spaces) == 40
+    rng = random.Random(31)
+    self_maps = nonexpansive_maps(rng, [(s, s) for s in spaces], 12)
+    verdicts = hole_verdicts_match_the_enumeration(self_maps)
+    assert verdicts[True] and verdicts[False]
+    pairs = [tuple(rng.sample(spaces, 2)) for _ in range(120)]
+    cross_maps = nonexpansive_maps(rng, pairs, 6)
+    # the raise of d(f(x), t) to the source carrier is exercised
+    assert any(map(leaves_the_source_carrier, cross_maps))
+    verdicts = hole_verdicts_match_the_enumeration(cross_maps)
+    assert verdicts[True] and verdicts[False]
+
+
+def test_hole_preservation_matches_the_enumeration_on_89_value_restrictions(
+    digraph_spaces,
+):
+    rng = random.Random(37)
+    spaces = [s for s in digraph_spaces if len(s.monoid.carrier) == 89]
+    assert len(spaces) == 24
+    maps = []
+    for s in rng.sample(spaces, 3):
+        for pair in ("ab", "ac", "bc"):
+            r = s.restrict(pair)
+            for values in product(s.elements, repeat=2):
+                vm = VMap.make(r, s, dict(zip(r.elements, values)))
+                if vm.is_nonexpansive():
+                    maps.append(vm)
+    verdicts = hole_verdicts_match_the_enumeration(maps)
+    assert verdicts[True] and verdicts[False]
+
+
+def test_hole_preservation_answers_on_the_eight_element_chain():
+    # 4^8 = 65,536 radius maps: more than any enumeration should try
+    els = [str(i) for i in range(8)]
+    s = v4_space_from_order(els, frozenset((x, y) for x in els for y in els if x < y))
+
+    def vmap(f) -> VMap:
+        return VMap.make(s, s, {x: str(f(int(x))) for x in els})
+
+    identity, clamp = vmap(lambda i: i), vmap(lambda i: min(i, 5))
+    assert identity.is_hole_preserving()
+    assert not clamp.is_hole_preserving()
+    for vm in (identity, clamp, vmap(lambda i: min(i + 1, 7)), vmap(lambda i: 0)):
+        structural = vm.is_isometry() and metric_one_local_retract(s, vm.image).ok
+        assert vm.is_hole_preserving() == structural
+
+
+def carrier_scan_radius(space: VSpace, subset):
+    """Oracle: the meet of the carrier values v for which some point x of
+    the subset covers it with B(x, v)."""
+    a = frozenset(subset)
+    m = space.monoid
+    return m.meet_all(
+        v for v in m.carrier if any(a <= space.ball(x, v) for x in a)
+    )
+
+
+def test_radius_matches_the_carrier_scan(digraph_spaces):
+    rng = random.Random(41)
+    spaces = list(digraph_spaces)
+    for n in range(1, 6):
+        els = [str(i) for i in range(n)]
+        spaces += [
+            v4_space_from_order(els, random_strict_order(rng, n)) for _ in range(12)
+        ]
+    checked = 0
+    for s in spaces:
+        for bits in product((False, True), repeat=len(s.elements)):
+            subset = [x for x, keep in zip(s.elements, bits) if keep]
+            assert s.radius(subset) == carrier_scan_radius(s, subset), subset
+            checked += 1
+    assert checked == 64 * 8 + 12 * (2 + 4 + 8 + 16 + 32)
+
+
+def test_nonexpansive_selfmaps_are_the_endomorphisms_of_the_relational_view(
+    digraph_spaces,
+):
+    rng = random.Random(43)
+    spaces = list(digraph_spaces)
+    for n in range(2, 6):
+        els = [str(i) for i in range(n)]
+        spaces += [
+            v4_space_from_order(els, random_strict_order(rng, n)) for _ in range(15)
+        ]
+    verdicts = {True: 0, False: 0}
+    for s in spaces:
+        rs = s.to_relsys()
+        for _ in range(30):
+            f = {x: rng.choice(s.elements) for x in s.elements}
+            got = VMap.make(s, s, f).is_nonexpansive()
+            assert got == rs.is_endomorphism(SelfMap.make(f, s.elements)), f
+            verdicts[got] += 1
+    assert verdicts[True] > 500 and verdicts[False] > 500
+
+
 def test_metric_side_olr_agrees_with_relational_side():
     rng = random.Random(47)
     for _ in range(25):
