@@ -99,16 +99,18 @@ CHECK_PROPERTIES = (
 
 def _load_json(path: str) -> Any:
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     try:
-        return json.loads(text)
+        return json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise InputError(
             f"parse error in {path}: {exc.msg} (line {exc.lineno} "
             f"column {exc.colno})"
         ) from None
+    except (RecursionError, ValueError) as exc:  # too deep, not UTF-8, long int
+        raise InputError(f"cannot parse {path}: {exc}") from None
 
 
 def _sniff(doc: Any, path: str) -> str:

@@ -19,11 +19,11 @@ Names are checked once, where they enter a public function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product as iter_product
 from typing import Iterable, Mapping, Sequence
 
+from ._record import record
 from .errors import CapError, HypothesisError, InputError, InternalCheckError
 from .relsys import OLRResult, SelfMap, _bits, _subset_mask, retraction_violation
 from .relsys import _transitive_closure
@@ -33,7 +33,7 @@ from .words import check_word
 GAP_CAP = 8
 
 
-@dataclass(frozen=True)
+@record
 class Gap:
     """Two subsets with every lower element below every upper element
     and no point lying between them."""
@@ -42,7 +42,7 @@ class Gap:
     upper: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Poset:
     """A finite strict order, transitively closed."""
 
@@ -417,7 +417,7 @@ def poset_product(posets: Sequence[Poset], cap: int = PRODUCT_CAP) -> Poset:
     return Poset.make(sorted(name.values()), pairs)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class FenceRetractDemo:
     """Outcome of the retract-of-fence-products demonstration."""
 

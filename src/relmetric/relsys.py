@@ -27,10 +27,10 @@ subsets than that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
 
+from ._record import record
 from .errors import (
     CapError,
     HypothesisError,
@@ -74,7 +74,7 @@ def _subset_mask(index: dict[str, int], subset) -> int:
     return mask
 
 
-@dataclass(frozen=True)
+@record
 class SelfMap:
     """A total map from a finite element set to itself."""
 
@@ -134,7 +134,7 @@ def retraction_violation(elements, relation, subset, mapping) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
+@record
 class BallSetMember:
     """A nonempty intersection of balls, with one witnessing family."""
 
@@ -143,7 +143,7 @@ class BallSetMember:
     mask: int  # the support over the system's sorted elements
 
 
-@dataclass(frozen=True)
+@record
 class OLRResult:
     ok: bool
     table: tuple[tuple[str, str], ...] | None  # x outside A -> retraction image
@@ -154,7 +154,7 @@ class OLRResult:
         return None if self.table is None else dict(self.table)
 
 
-@dataclass(frozen=True)
+@record
 class RelSys:
     elements: tuple[str, ...]
     relations: tuple[tuple[str, frozenset[tuple[str, str]]], ...]

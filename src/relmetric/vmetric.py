@@ -48,12 +48,12 @@ scanned with the monoid's order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 from typing import Iterable, Mapping
 
 from . import words
+from ._record import record
 from .errors import (
     CapError,
     HypothesisError,
@@ -150,11 +150,14 @@ class ValueMonoid:
     def is_accessible(self, v) -> bool:
         return self.accessibility_value_witness(v) is not None
 
+    def check_lattice(self) -> None:
+        """Radii, holes and ``to_relsys`` need a lattice; ``make`` checks it."""
+
     def inaccessible_values(self) -> tuple:
         return tuple(v for v in self.carrier if not self.is_accessible(v))
 
 
-@dataclass(frozen=True)
+@record
 class TableMonoid(ValueMonoid):
     """A value monoid given by explicit finite tables.
 
@@ -513,7 +516,7 @@ def parse_word_value(text: str) -> UpSet:
     return UpSet.from_words(gens)
 
 
-@dataclass(frozen=True)
+@record(hidden=("masks",))
 class WordValueMonoid(ValueMonoid):
     """Final-segment word values with a finite quantification carrier.
 
@@ -569,11 +572,9 @@ class WordValueMonoid(ValueMonoid):
 
     carrier: tuple[UpSet, ...]
     oplus_length_bound: int
-    # The (G, U) masks of each carrier value from the meet closure; None
-    # for a carrier given directly.
-    masks: tuple[tuple[int, int], ...] | None = field(
-        default=None, compare=False, repr=False
-    )
+    # The (G, U) masks of each carrier value from the meet closure, out of
+    # ==, hash and repr; None for a carrier given directly.
+    masks: tuple[tuple[int, int], ...] | None = None
 
     @staticmethod
     def from_values(
@@ -630,6 +631,23 @@ class WordValueMonoid(ValueMonoid):
             sum(1 << l for l, g in enumerate(gens) if not g & ~u)
             for _, u in self.masks
         )
+
+    def check_lattice(self) -> None:
+        """Raise a ``StructureError`` naming a pair whose meet or join
+        leaves a carrier given directly; ``from_values`` closes its own."""
+        if self._escape:
+            op, a, b = self._escape
+            raise StructureError(f"the {op} of {a} and {b} leaves the carrier")
+
+    @cached_property
+    def _escape(self) -> tuple:
+        """The first (operation, a, b) that leaves the carrier, or ()."""
+        if self.masks is None:
+            for a, b in combinations(self.carrier, 2):
+                for op in ("meet", "join"):
+                    if getattr(a, op)(b) not in self._index:
+                        return op, self.name(a), self.name(b)
+        return ()
 
     # ------------------------------------------------------------ primitives
 
@@ -719,7 +737,7 @@ def _closed_carrier(
 # --------------------------------------------------------------------- spaces
 
 
-@dataclass(frozen=True)
+@record
 class RadiusMap:
     """A radius for every point of a space.
 
@@ -747,7 +765,7 @@ class RadiusMap:
             raise InputError(f"no radius for element {x!r}") from None
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class VSpace:
     """A finite set of named points with a value-monoid distance."""
 
@@ -859,6 +877,7 @@ class VSpace:
         is closed under joins, so this is the meet of those joins."""
         a = self._check_subset(subset)
         m = self.monoid
+        m.check_lattice()
         return m.meet_all(m.join_all(self.d(x, y) for y in a) for x in a)
 
     def is_equally_centered(self, subset) -> bool:
@@ -882,6 +901,7 @@ class VSpace:
         carrier is a lattice, so that least value is the join of the
         distances of the pairs."""
         m = self.monoid
+        m.check_lattice()
         els = self.elements
         groups: dict[tuple[int, ...], int] = {}
         for k, column in enumerate(zip(*self._balls)):
@@ -1069,7 +1089,7 @@ def product_space(spaces, cap: int = PRODUCT_CAP) -> VSpace:
 # ----------------------------------------------------------------------- maps
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class VMap:
     """A map between two spaces over compatible value monoids."""
 
@@ -1155,6 +1175,7 @@ class VMap:
                 "hole preservation is defined for non-expansive maps only"
             )
         m = self.source.monoid
+        m.check_lattice()
         for t in self.target.elements:
             radii = {x: self.target.d(y, t) for x, y in self.pairs}
             for x, v in radii.items():
@@ -1181,7 +1202,7 @@ def hole_image(radii: RadiusMap, vmap: VMap) -> RadiusMap:
 # ------------------------------------------------------- canonical embedding
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class CanonicalEmbedding:
     """A space embedded by distance profiles ``x -> (d(z, x) for z)``.
 

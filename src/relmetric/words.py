@@ -29,11 +29,11 @@ space over itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
+from ._record import record
 from .errors import CapError, InputError
 
 ALPHABET = "+-"
@@ -118,7 +118,7 @@ def _mcs(u: str, v: str) -> tuple[str, ...]:
     return minimal_words(out)
 
 
-@dataclass(frozen=True)
+@record
 class UpSet:
     """A final segment of the subword order, as its minimal antichain.
 

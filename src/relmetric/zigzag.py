@@ -31,12 +31,12 @@ Provided here:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iter_product
 from typing import Iterable, Mapping
 
 from . import words
+from ._record import record
 from .errors import (
     CapError,
     HypothesisError,
@@ -61,7 +61,7 @@ PREFIX_EMBED_CAP = 8
 # --------------------------------------------------------------- digraphs
 
 
-@dataclass(frozen=True)
+@record
 class Digraph:
     """A finite directed graph on named vertices.
 
@@ -170,7 +170,7 @@ def digraph_product(graphs: Iterable[Digraph], cap: int = PRODUCT_CAP) -> Digrap
 # ----------------------------------------------------- path graphs of words
 
 
-@dataclass(frozen=True)
+@record
 class ZigzagGraph:
     """The reflexive path graph of a word.
 
@@ -228,7 +228,7 @@ def zz_member(g: Digraph, x: str, y: str, w: str) -> bool:
     return y in frontier
 
 
-@dataclass(frozen=True)
+@record
 class ZigzagDistance:
     """A computed zigzag distance: the value and a completeness flag.
 
@@ -393,7 +393,7 @@ def _segment_value(u: str, i: int, j: int) -> UpSet:
 # ----------------------------------------------------- product embedding
 
 
-@dataclass(frozen=True)
+@record
 class FactorMap:
     """One coordinate of a zigzag-product embedding.
 
@@ -411,7 +411,7 @@ class FactorMap:
         return dict(self.image)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class ZigzagEmbedding:
     """A verified isometric embedding of a digraph into a product of
     path graphs, one coordinate per factor map; ``distances`` is the
@@ -577,7 +577,7 @@ def embed_into_zigzag_product(
 # ------------------------------------------------------------ boundedness
 
 
-@dataclass(frozen=True)
+@record
 class BoundedCert:
     """Certificate that a word-valued space is bounded over the cut
     values: the diameter is a cut below the top, and every nonzero cut
@@ -628,7 +628,7 @@ def macneille_bounded(space: VSpace) -> BoundedCert:
 # ------------------------------------------------------ fixed-point demo
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class ZigzagFixedPointDemo:
     """A verified fixed-point run on a digraph.
 

@@ -224,6 +224,29 @@ def test_parse_error_reports_position(tmp_path, capsys):
     assert "parse error" in err and "line 1" in err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"[" * 200_000,  # nested past the recursion limit
+        b"\xff\xfe" + "{}".encode("utf-16-le"),  # not UTF-8
+        b'{"vertices": [' + b"9" * 5000 + b"]}",  # over the integer digit limit
+    ],
+    ids=["deep", "utf16", "long-int"],
+)
+@pytest.mark.parametrize("entry", ["input", "maps", "cert"])
+def test_unparsable_file_is_input_error_naming_it(tmp_path, capsys, content, entry):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    graph = write(tmp_path, "g.json", VEE_GRAPH)
+    argv = {
+        "input": ["check", "axioms", "--input", str(bad)],
+        "maps": ["fixpoint", "--input", graph, "--maps", str(bad)],
+        "cert": ["verify", "--cert", str(bad)],
+    }[entry]
+    assert main(argv) == 2
+    assert str(bad) in capsys.readouterr().err
+
+
 def test_unrecognized_document_is_input_error(tmp_path, capsys):
     path = write(tmp_path, "odd.json", {"stuff": 1})
     assert main(["check", "axioms", "--input", path]) == 2

@@ -23,6 +23,7 @@ from conftest import (
     random_strict_order,
     v4_space_from_order,
 )
+from test_acceptance import thin_word_space
 from relmetric import words as W
 from relmetric.errors import CapError, HypothesisError, InputError, StructureError
 from relmetric.relsys import SelfMap
@@ -1516,3 +1517,34 @@ def test_word_hyperconvexity_and_holes_match_the_set_scans(small_zigzag_spaces):
                 tuple((x, rng.choice(values)) for x in space.elements)
             )
             assert space.is_hole(radii) == set_is_hole(space, radii), key
+
+
+def test_a_thin_word_carrier_is_refused_where_a_lattice_is_needed():
+    """The carrier of ``thin_word_space`` holds the distance values, 0
+    and top only; radii, hole preservation and the relational view
+    assume one closed under meet and join, so each refuses it, naming
+    a pair.  The canonical embedding needs no closure and still runs."""
+    s = thin_word_space(zigzag_from_word("++-").graph)
+    for run in (
+        lambda: s.radius(s.elements),
+        s.to_relsys,
+        VMap.make(s, s, {x: x for x in s.elements}).is_hole_preserving,
+    ):
+        with pytest.raises(StructureError, match=r"\] and \[.*leaves the carrier"):
+            run()
+    assert "_escape" in vars(s.monoid)  # searched once, kept
+    canonical_embedding(s)
+
+
+def test_a_closed_carrier_given_directly_is_accepted():
+    values, bound = path_seeds("+-")
+    closed = WordValueMonoid.from_values(values, bound)
+    direct = WordValueMonoid(closed.carrier, bound)
+    graph = zigzag_from_word("+-").graph
+    dist = {p: d.value for p, d in all_zigzag_distances(graph).items()}
+    for m in (closed, direct):
+        m.check_lattice()
+        s = VSpace.make(graph.vertices, m, dist)
+        assert s.radius(s.elements) == carrier_scan_radius(s, s.elements)
+        assert len(s.to_relsys().relations) > 1
+    assert direct.masks is None and direct._escape == ()
