@@ -44,14 +44,14 @@ from .poset import (
     GAP_CAP,
     Gap,
     Poset,
+    _gap_radii,
     _gaps,
+    _is_gap_mask,
+    _least_subgap,
     _tarski,
     fence_product_retract_demo,
     find_gaps,
-    gap_hole,
-    is_gap,
     make_fence,
-    minimal_subgap,
     poset_product,
     poset_to_vspace,
     vspace_to_poset,
@@ -154,7 +154,8 @@ def _names(value: Any, path: str) -> list:
     if not isinstance(value, list):
         raise InputError(f"{path}: expected a list of names")
     for i, name in enumerate(value):
-        _name(name, f"{path}[{i}]")
+        if not isinstance(name, str):  # the path is formatted only on failure
+            _name(name, f"{path}[{i}]")
     return value
 
 
@@ -390,7 +391,9 @@ def _base_payload(command: str, args, inputs: _Inputs) -> dict:
 
 
 def _emit(payload: dict, args) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # Each payload is a tree of fresh dicts and lists with no cycles, so
+    # the encoder's circular-reference markers are pure overhead.
+    text = json.dumps(payload, indent=2, sort_keys=True, check_circular=False) + "\n"
     if args.out:
         try:
             Path(args.out).write_text(text)
@@ -549,7 +552,7 @@ def _run_gaps(inputs: _Inputs, args):
     gaps = find_gaps(p, cap)
     payload = _base_payload("gaps", args, inputs)
     payload["gaps"] = [
-        dict(_gap_json(gap), minimal=_gap_json(minimal_subgap(p, gap)))
+        dict(_gap_json(gap), minimal=_gap_json(_least_subgap(p, gap)))
         for gap in gaps
     ]
     payload["complete_lattice"] = p.is_complete_lattice()
@@ -566,12 +569,10 @@ def _run_holes(inputs: _Inputs, args):
     space = poset_to_vspace(p)
     holes = []
     for gap in find_gaps(p, cap):
-        radii = gap_hole(p, gap)
-        if not space.is_hole(radii):
-            raise InternalCheckError(
-                f"the radius map of the gap {gap} is not a hole"
-            )
-        holes.append({"gap": _gap_json(gap), "radii": dict(radii.radii)})
+        radii = _gap_radii(p, gap.lower, gap.upper)
+        if not space._is_hole_at(radii.values()):
+            raise InternalCheckError(f"the radius map of the gap {gap} is not a hole")
+        holes.append({"gap": _gap_json(gap), "radii": radii})
     payload = _base_payload("holes", args, inputs)
     payload["holes"] = holes
     payload["verdict"] = True
@@ -752,34 +753,30 @@ def _verify_embed(cert: dict, inputs: _Inputs, args) -> None:
     _expect(violation is None, violation)
 
 
-def _gap_parts(gap: dict, where: str) -> tuple[list, list]:
-    """The lower and upper parts of a gap object of a certificate."""
-    return (
-        _cert_field(gap, "lower", where, _names),
-        _cert_field(gap, "upper", where, _names),
-    )
+def _gap_parts(p: Poset, gap: dict, where: str) -> tuple[list, list, int, int]:
+    """The lower and upper parts of a gap object of a certificate, as
+    names and as masks over the poset."""
+    lower = _cert_field(gap, "lower", where, _names)
+    upper = _cert_field(gap, "upper", where, _names)
+    return lower, upper, p._mask(lower), p._mask(upper)
 
 
 def _verify_gaps(cert: dict, inputs: _Inputs, args) -> None:
+    # here and in _verify_holes, a message is formatted only when its check fails
     p = inputs.poset
     for i, entry in enumerate(_cert_field(cert, "gaps", check=_list)):
         where = f"gaps[{i}]"
-        entry = _object(entry, where)
-        lower, upper = _gap_parts(entry, where)
-        _expect(
-            is_gap(p, lower, upper),
-            f"listed pair ({lower}, {upper}) is not a gap",
-        )
+        lower, upper, a, b = _gap_parts(p, _object(entry, where), where)
+        if not _is_gap_mask(p, a, b):
+            raise _Mismatch(f"listed pair ({lower}, {upper}) is not a gap")
         minimal = _cert_field(entry, "minimal", where, _object)
-        min_lower, min_upper = _gap_parts(minimal, f"{where}.minimal")
-        _expect(
-            is_gap(p, min_lower, min_upper),
-            f"listed minimal pair of ({lower}, {upper}) is not a gap",
-        )
-        _expect(
-            set(min_lower) <= set(lower) and set(min_upper) <= set(upper),
-            f"minimal pair of ({lower}, {upper}) is not contained in it",
-        )
+        _, _, min_a, min_b = _gap_parts(p, minimal, f"{where}.minimal")
+        if not _is_gap_mask(p, min_a, min_b):
+            raise _Mismatch(f"listed minimal pair of ({lower}, {upper}) is not a gap")
+        if min_a & ~a or min_b & ~b:
+            raise _Mismatch(
+                f"minimal pair of ({lower}, {upper}) is not contained in it"
+            )
     fresh = p.is_complete_lattice()
     _expect(
         fresh == _cert_field(cert, "complete_lattice"),
@@ -795,18 +792,20 @@ def _verify_holes(cert: dict, inputs: _Inputs, args) -> None:
         where = f"holes[{i}]"
         entry = _object(entry, where)
         gap = _cert_field(entry, "gap", where, _object)
-        lower, upper = _gap_parts(gap, f"{where}.gap")
-        _expect(
-            is_gap(p, lower, upper),
-            f"listed pair ({lower}, {upper}) is not a gap",
-        )
+        lower, upper, a, b = _gap_parts(p, gap, f"{where}.gap")
+        if not _is_gap_mask(p, a, b):
+            raise _Mismatch(f"listed pair ({lower}, {upper}) is not a gap")
         radii = RadiusMap.make(
             _cert_field(entry, "radii", where, _object), space.elements
         )
-        _expect(
-            space.is_hole(radii),
-            f"the radius map for ({lower}, {upper}) is not a hole",
-        )
+        if not space.is_hole(radii):
+            raise _Mismatch(f"the radius map for ({lower}, {upper}) is not a hole")
+        fresh = _gap_radii(p, lower, upper)
+        if radii.as_dict != fresh:
+            raise _Mismatch(
+                f"{where}.radii: certificate has {radii.as_dict}, the gap "
+                f"({lower}, {upper}) gives {fresh}"
+            )
 
 
 def _verify_demo(cert: dict, inputs: _Inputs, args) -> None:

@@ -14,13 +14,21 @@ element as masks.  The upper bounds of a subset are the AND of the
 up-sets of its members, and a mask has a least element when one of its
 members has an up-set containing the whole mask; joins, meets, the
 complete-lattice test and the gap tests are built from these two steps.
-Names are checked once, where they enter a public function.
+The gap enumeration keeps the upper bounds of every prefix of the
+current subset, so each next subset ANDs only from its first changed
+member.  The least gap inside a gap (A, B) reads the upper bounds of
+subsets of A and the lower bounds of subsets of B in the order of the
+least sub-pair (total size, lower part, upper part), up to the first
+hit; no table spans the subsets of the whole poset.  Names are checked
+once, where they enter a public function.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from itertools import combinations, product as iter_product
+from functools import cached_property, reduce
+from itertools import chain, combinations, product as iter_product
+from math import prod
+from operator import and_
 from typing import Iterable, Mapping, Sequence
 
 from ._record import record
@@ -125,23 +133,26 @@ class Poset:
     def _extreme(rows, mask: int) -> int | None:
         """The index i in a mask with the whole mask inside ``rows[i]``:
         its least element for ``_up``, its greatest for ``_down``."""
-        for i in _bits(mask):
+        rest = mask
+        while rest:
+            i = (rest & -rest).bit_length() - 1
             if mask & ~rows[i] == 0:
                 return i
+            rest &= rest - 1
         return None
 
     def leq(self, x: str, y: str) -> bool:
         return bool(self._up[self._check(x)] >> self._check(y) & 1)
 
     def covers(self) -> tuple[tuple[str, str], ...]:
-        """The covering pairs: x < y with nothing strictly between."""
-        out = []
-        for x, y in sorted(self.lt):
-            if not any(
-                (x, z) in self.lt and (z, y) in self.lt for z in self.elements
-            ):
-                out.append((x, y))
-        return tuple(out)
+        """The covering pairs: x < y with nothing strictly between, so
+        the up-set of x meets the down-set of y in x and y alone."""
+        idx, up, down = self._index, self._up, self._down
+        return tuple(
+            (x, y)
+            for x, y in sorted(self.lt)
+            if up[idx[x]] & down[idx[y]] == 1 << idx[x] | 1 << idx[y]
+        )
 
     # ----------------------------------------------------------- bounds
 
@@ -207,16 +218,11 @@ def all_posets(names: Sequence[str]):
     cells = [(x, y) for x in els for y in els if x != y]
     for bits in iter_product((False, True), repeat=len(cells)):
         rel = {c for c, b in zip(cells, bits) if b}
-        if any((y, x) in rel for x, y in rel):
-            continue
-        if any(
-            (x, z) not in rel
-            for x, y in rel
-            for y2, z in rel
-            if y2 == y and x != z
+        antisymmetric = not any((y, x) in rel for x, y in rel)
+        if antisymmetric and all(
+            (x, z) in rel for x, y in rel for y2, z in rel if y2 == y and x != z
         ):
-            continue
-        yield Poset(els, frozenset(rel))
+            yield Poset(els, frozenset(rel))
 
 
 # ----------------------------------------------------------- the translation
@@ -225,17 +231,12 @@ def all_posets(names: Sequence[str]):
 def poset_to_vspace(p: Poset) -> VSpace:
     """0 on the diagonal, + strictly below, - strictly above, 1 between
     incomparable points."""
-    dist = {}
-    for x in p.elements:
-        for y in p.elements:
-            if x == y:
-                dist[x, y] = "0"
-            elif (x, y) in p.lt:
-                dist[x, y] = "+"
-            elif (y, x) in p.lt:
-                dist[x, y] = "-"
-            else:
-                dist[x, y] = "1"
+    up, sign = p._up, ("1", "+", "-", "0")  # indexed by [i <= j] + 2 [j <= i]
+    dist = {
+        (x, y): sign[(up[i] >> j & 1) | (up[j] >> i & 1) << 1]
+        for i, x in enumerate(p.elements)
+        for j, y in enumerate(p.elements)
+    }
     return VSpace.make(p.elements, v4_monoid(), dist)
 
 
@@ -246,15 +247,8 @@ def vspace_to_poset(space: VSpace) -> Poset:
     ok, witness = space.check_axioms()
     if not ok:
         raise InputError(f"the distance matrix violates the axioms: {witness}")
-    return Poset.make(
-        space.elements,
-        {
-            (x, y)
-            for x in space.elements
-            for y in space.elements
-            if space.d(x, y) == "+"
-        },
-    )
+    els = space.elements
+    return Poset.make(els, {(x, y) for x in els for y in els if space.d(x, y) == "+"})
 
 
 # ------------------------------------------------------------------- gaps
@@ -275,16 +269,22 @@ def _is_gap_mask(p: Poset, a: int, b: int) -> bool:
 
 def _gaps(p: Poset):
     """The gaps (A, upper bounds of A), by the size of A and then in the
-    order of ``combinations`` over the elements; no cap."""
-    n = len(p.elements)
+    order of ``combinations`` over the elements; no cap.  ``ubs[t]`` is
+    the upper bounds of the first t members of A, so the next subset
+    redoes the ANDs only from the first member that changed."""
+    n, up, els = len(p.elements), p._up, p.elements
     for size in range(n + 1):
-        for combo in combinations(range(n), size):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            ub = p._bounds(p._up, mask)
-            if p._extreme(p._up, ub) is None:
-                yield Gap(tuple(p.elements[i] for i in combo), p._names(ub))
+        combo, ubs, t = list(range(size)), [(1 << n) - 1] * (size + 1), 0
+        while t >= 0:
+            for j in range(t, size):
+                ubs[j + 1] = ubs[j] & up[combo[j]]
+            if p._extreme(up, ubs[size]) is None:
+                yield Gap(tuple(map(els.__getitem__, combo)), p._names(ubs[size]))
+            t = size - 1
+            while t >= 0 and combo[t] == n - size + t:
+                t -= 1
+            if t >= 0:
+                combo[t:] = range(combo[t] + 1, combo[t] + 1 + size - t)
 
 
 def find_gaps(p: Poset, cap: int = GAP_CAP) -> tuple[Gap, ...]:
@@ -301,29 +301,31 @@ def find_gaps(p: Poset, cap: int = GAP_CAP) -> tuple[Gap, ...]:
 
 def minimal_subgap(p: Poset, gap: Gap) -> Gap:
     """A smallest gap contained in the given one (the finite-character
-    witness; the gap itself in the worst case).
-
-    The witness is the least (lower, upper) pair, compared as tuples of
-    names in the order the given gap lists them, among the contained
-    gaps of least total size.  The sub-pairs are scanned by total size
-    upwards, and the least gap of the first size that has one is
-    returned: every pair of a smaller size comes before it in that
-    order, so this is the pair a sort of all sub-pairs by (size, lower,
-    upper) would reach first, found without the sort.
-    """
+    witness; the gap itself in the worst case): the least contained gap
+    by total size, then by (lower, upper) as tuples of names in the
+    order the given gap lists them."""
     if not is_gap(p, gap.lower, gap.upper):
         raise InputError("not a gap")
-    lower, upper = gap.lower, gap.upper
-    for size in range(len(lower) + len(upper) + 1):
-        found = [
-            Gap(a, b)
-            for la in range(max(0, size - len(upper)), min(size, len(lower)) + 1)
-            for a in combinations(lower, la)
-            for b in combinations(upper, size - la)
-            if _is_gap_mask(p, p._mask(a), p._mask(b))
-        ]
-        if found:
-            return min(found, key=lambda sub: (sub.lower, sub.upper))
+    return _least_subgap(p, gap)
+
+
+def _least_subgap(p: Poset, gap: Gap) -> Gap:
+    """The least gap inside a gap whose names are known, in the order of
+    :func:`minimal_subgap`; names compare as their indices, the elements
+    being sorted.  A sub-pair (a, b) keeps b inside the upper bounds of
+    a, so it is a gap exactly when those bounds miss the lower bounds of
+    b.  No pair of total size below 2 is a gap (its one point, or any
+    point for the empty pair, lies between), so the scan starts at 2;
+    each size's pairs are read in (lower, upper) order, up to a gap."""
+    idx, full, name = p._index, (1 << len(p.elements)) - 1, p.elements.__getitem__
+    lower, upper = [idx[x] for x in gap.lower], [idx[x] for x in gap.upper]
+    for size in range(2, len(lower) + len(upper) + 1):
+        sizes = range(max(0, size - len(upper)), min(size, len(lower)) + 1)
+        for a in sorted(chain.from_iterable(combinations(lower, k) for k in sizes)):
+            ub = reduce(and_, map(p._up.__getitem__, a), full)
+            for b in sorted(combinations(upper, size - len(a))):
+                if ub & reduce(and_, map(p._down.__getitem__, b), full) == 0:
+                    return Gap(tuple(map(name, a)), tuple(map(name, b)))
     raise InternalCheckError("a gap must contain itself as a subgap")
 
 
@@ -333,15 +335,13 @@ def gap_hole(p: Poset, gap: Gap) -> RadiusMap:
     exactly because nothing lies between the parts."""
     if not is_gap(p, gap.lower, gap.upper):
         raise InputError("not a gap")
-    radii = {}
-    for x in p.elements:
-        if x in gap.lower:
-            radii[x] = "+"
-        elif x in gap.upper:
-            radii[x] = "-"
-        else:
-            radii[x] = "1"
-    return RadiusMap.make(radii, p.elements)
+    return RadiusMap(tuple(_gap_radii(p, gap.lower, gap.upper).items()))
+
+
+def _gap_radii(p: Poset, lower, upper) -> dict[str, str]:
+    """The radius map of a gap with known names, in element order."""
+    radii = dict.fromkeys(p.elements, "1") | dict.fromkeys(upper, "-")
+    return radii | dict.fromkeys(lower, "+")
 
 
 # ---------------------------------------------------------------- solvers
@@ -385,14 +385,11 @@ def make_fence(orientation: str) -> Poset:
     on +, vi > vi+1 on -; alternating words give fences, and the empty
     word gives a single point."""
     check_word(orientation)
-    n = len(orientation)
-    els = [f"v{i}" for i in range(n + 1)]
-    pairs = set()
-    for i, sign in enumerate(orientation):
-        if sign == "+":
-            pairs.add((els[i], els[i + 1]))
-        else:
-            pairs.add((els[i + 1], els[i]))
+    els = [f"v{i}" for i in range(len(orientation) + 1)]
+    pairs = [
+        (els[i], els[i + 1]) if sign == "+" else (els[i + 1], els[i])
+        for i, sign in enumerate(orientation)
+    ]
     return Poset.make(els, pairs)
 
 
@@ -401,9 +398,7 @@ def poset_product(posets: Sequence[Poset], cap: int = PRODUCT_CAP) -> Poset:
     posets = list(posets)
     if not posets:
         raise InputError("a product needs at least one factor")
-    size = 1
-    for q in posets:
-        size *= len(q.elements)
+    size = prod(len(q.elements) for q in posets)
     if size > cap:
         raise CapError(f"product would have {size} elements (cap {cap})")
     combos = list(iter_product(*(range(len(q.elements)) for q in posets)))

@@ -1012,9 +1012,15 @@ class VSpace:
         rd = radii.as_dict
         if set(rd) != set(self.elements):
             raise InputError("the radius map must cover exactly the elements")
+        return self._is_hole_at(rd[x] for x in self.elements)
+
+    def _is_hole_at(self, radii: Iterable) -> bool:
+        """Whether the balls around the elements, in order, with these
+        radii share no point: the AND of the ball table's masks by
+        carrier index, stopping once it is empty."""
         common = (1 << len(self.elements)) - 1
-        for i, x in enumerate(self.elements):
-            common &= self._ball_mask(i, rd[x])
+        for i, v in enumerate(radii):
+            common &= self._ball_mask(i, v)
             if not common:
                 return True
         return False

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -21,6 +22,9 @@ import pytest
 import relmetric
 from relmetric import cli, zigzag
 from relmetric.cli import main
+from relmetric.errors import InternalCheckError
+from relmetric.vmetric import VSpace
+from test_poset import random_poset, set_find_gaps
 
 VEE_GRAPH = {
     "vertices": ["0", "1", "2"],
@@ -148,6 +152,23 @@ def test_check_lattice_reports_a_gap_witness(tmp_path):
     assert code == 0
     assert payload["verdict"] is False
     assert payload["witness"] == {"lower": [], "upper": ["a", "b", "c"]}
+
+
+def test_check_lattice_witness_is_the_first_oracle_gap(tmp_path):
+    rng = random.Random(89)
+    witnesses = 0
+    for n in (3, 4, 5, 6):
+        for _ in range(6):
+            p = random_poset(rng, n)
+            doc = {"elements": list(p.elements), "covers": sorted(p.lt)}
+            path = write(tmp_path, "p.json", doc)
+            code, payload, _ = run_to_file(tmp_path, ["check", "lattice", "--input", path])
+            gap = next(iter(set_find_gaps(p)), None)
+            first = None if gap is None else {"lower": list(gap.lower), "upper": list(gap.upper)}
+            assert code == 0
+            assert payload["witness"] == first
+            witnesses += gap is not None
+    assert witnesses >= 10
 
 
 def test_check_lattice_positive_on_chain(tmp_path):
@@ -1001,6 +1022,40 @@ def test_holes_cert_tamper_detected(tmp_path):
     _, vout = verify(tmp_path, cert)
     assert vout["verdict"] is False
     assert "not a hole" in vout["detail"]
+
+
+def test_holes_guard_reads_the_order_space(tmp_path, monkeypatch, capsys):
+    # Put b into the radius-"-" balls around a and c: the balls of the
+    # vee's one gap, ((), [a, b, c]), then all contain b.
+    path = write(tmp_path, "p.json", VEE_POSET)
+    order_space = cli.poset_to_vspace
+
+    def patched(p):
+        space = order_space(p)
+        dist = {**space.dist, ("a", "b"): "-", ("c", "b"): "-"}
+        return VSpace.make(space.elements, space.monoid, dist)
+
+    monkeypatch.setattr(cli, "poset_to_vspace", patched)
+    capsys.readouterr()
+    assert main(["holes", "--input", path]) == InternalCheckError.exit_code == 1
+    assert "is not a hole" in capsys.readouterr().err
+
+
+def test_holes_cert_with_another_gaps_radii_is_rejected(tmp_path):
+    # a, b below c and d: six gaps, each with its own hole
+    doc = {
+        "elements": ["a", "b", "c", "d"],
+        "covers": [["a", "c"], ["b", "c"], ["a", "d"], ["b", "d"]],
+    }
+    path = write(tmp_path, "p.json", doc)
+    _, payload, cert = run_to_file(tmp_path, ["holes", "--input", path])
+    holes = payload["holes"]
+    assert len(holes) == 6
+    holes[0]["radii"], holes[1]["radii"] = holes[1]["radii"], holes[0]["radii"]
+    Path(cert).write_text(json.dumps(payload))
+    _, vout = verify(tmp_path, cert)
+    assert vout["verdict"] is False
+    assert vout["detail"].startswith("mismatch at holes[0].radii:")
 
 
 # ------------------------------------------------------------------ demo

@@ -536,6 +536,26 @@ def test_poset_masks_match_the_set_scans():
             assert minimal_subgap(p, flipped) == set_minimal_subgap(p, flipped)
 
 
+def test_gaps_and_least_subgaps_match_the_set_scans_on_larger_posets():
+    # 6- to 8-point posets, each gap listed in a shuffled order of its
+    # parts, which changes the name order the least sub-pair is read in
+    rng = random.Random(83)
+    seen = 0
+    for n in (6, 7, 8):
+        for _ in range(5):
+            p = random_poset(rng, n)
+            gaps = find_gaps(p)
+            assert gaps == set_find_gaps(p)
+            for g in gaps:
+                lower, upper = list(g.lower), list(g.upper)
+                rng.shuffle(lower)
+                rng.shuffle(upper)
+                shuffled = Gap(tuple(lower), tuple(upper))
+                assert minimal_subgap(p, shuffled) == set_minimal_subgap(p, shuffled)
+                seen += 1
+    assert seen > 100
+
+
 def test_is_gap_masks_match_the_set_scan():
     rng = random.Random(67)
     for p in oracle_corpus():
