@@ -16,7 +16,12 @@ invocations produce identical bytes.  The verify subcommand re-checks a
 certificate against the input: witnesses are checked definitionally,
 while a certificate without witnesses (check, and distance or embed on
 a space or poset) is computed again by the command's own handler and
-compared field by field, and a zigzag demo rebuilds its space.
+compared field by field, and a zigzag demo rebuilds its space.  Lists
+are compared in full: a digraph distance is recomputed whole after its
+generators are checked, an embedding's distances are searched again,
+the gaps and holes are compared with the command's enumeration, and a
+direct-route demo's boundedness witnesses with the cut values of the
+rebuilt carrier.
 
 Exit codes: 0 when a verdict was computed (negative verdicts
 included), 2 for input errors, 3 for exceeded caps, 4 for violated
@@ -72,6 +77,7 @@ from .zigzag import (
     SEARCH_NODE_CAP,
     Digraph,
     FactorMap,
+    bounded_cuts,
     embed_into_zigzag_product,
     embedding_violation,
     macneille_bounded,
@@ -97,19 +103,30 @@ CHECK_PROPERTIES = (
 # ------------------------------------------------------------- loading
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict; a repeated key raises ``ValueError``."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ValueError(f"duplicate key {key!r}")
+    return obj
+
+
 def _load_json(path: str) -> Any:
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     try:
-        return json.loads(data.decode("utf-8"))
+        return json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"parse error in {path}: {exc.msg} (line {exc.lineno} "
             f"column {exc.colno})"
         ) from None
-    except (RecursionError, ValueError) as exc:  # too deep, not UTF-8, long int
+    # too deep, not UTF-8, a long int or a duplicate key
+    except (RecursionError, ValueError) as exc:
         raise InputError(f"cannot parse {path}: {exc}") from None
 
 
@@ -436,12 +453,11 @@ def _run_check(inputs: _Inputs, args):
         p = inputs.poset
         verdict = p.is_complete_lattice()
         payload["verdict"] = verdict
-        payload["witness"] = None
-        cap = args.cap if args.cap is not None else GAP_CAP
-        if not verdict and len(p.elements) <= cap:
-            gap = next(_gaps(p), None)
-            if gap is not None:
-                payload["witness"] = _gap_json(gap)
+        # A finite non-lattice lacks a bottom, so (empty, all) is a gap,
+        # or some pair lacks a join: the first gap has at most two lower
+        # elements, and the enumeration meets it within 1 + n + n(n-1)/2
+        # subsets.
+        payload["witness"] = None if verdict else _gap_json(next(_gaps(p)))
     elif prop == "normal":
         ok, witness = inputs.relsys.has_normal_structure()
         payload["verdict"] = ok
@@ -546,16 +562,20 @@ def _gap_json(gap: Gap) -> dict:
     return {"lower": list(gap.lower), "upper": list(gap.upper)}
 
 
-def _run_gaps(inputs: _Inputs, args):
-    p = inputs.poset
-    cap = args.cap if args.cap is not None else GAP_CAP
-    gaps = find_gaps(p, cap)
-    payload = _base_payload("gaps", args, inputs)
-    payload["gaps"] = [
+def _gap_entries(p: Poset, args) -> list[dict]:
+    """Each canonical gap of the poset with its least contained gap."""
+    return [
         dict(_gap_json(gap), minimal=_gap_json(_least_subgap(p, gap)))
-        for gap in gaps
+        for gap in find_gaps(p, GAP_CAP if args.cap is None else args.cap)
     ]
-    payload["complete_lattice"] = p.is_complete_lattice()
+
+
+def _run_gaps(inputs: _Inputs, args):
+    payload = _base_payload("gaps", args, inputs)
+    payload["gaps"] = _gap_entries(inputs.poset, args)
+    # a subset without a join gives a canonical gap, so no gap means
+    # every subset has a join: a complete lattice
+    payload["complete_lattice"] = not payload["gaps"]
     payload["verdict"] = True
     return payload, None
 
@@ -563,18 +583,22 @@ def _run_gaps(inputs: _Inputs, args):
 # ----------------------------------------------------------------- holes
 
 
-def _run_holes(inputs: _Inputs, args):
-    p = inputs.poset
-    cap = args.cap if args.cap is not None else GAP_CAP
+def _hole_entries(p: Poset, args) -> list[dict]:
+    """The radius map of each canonical gap, tested to be a hole of the
+    poset's space."""
     space = poset_to_vspace(p)
     holes = []
-    for gap in find_gaps(p, cap):
+    for gap in find_gaps(p, GAP_CAP if args.cap is None else args.cap):
         radii = _gap_radii(p, gap.lower, gap.upper)
         if not space._is_hole_at(radii.values()):
             raise InternalCheckError(f"the radius map of the gap {gap} is not a hole")
         holes.append({"gap": _gap_json(gap), "radii": radii})
+    return holes
+
+
+def _run_holes(inputs: _Inputs, args):
     payload = _base_payload("holes", args, inputs)
-    payload["holes"] = holes
+    payload["holes"] = _hole_entries(inputs.poset, args)
     payload["verdict"] = True
     return payload, None
 
@@ -690,13 +714,15 @@ def _verify_generator_list(g: Digraph, x: str, y: str, gens: list) -> None:
 
 
 def _verify_distance(cert: dict, inputs: _Inputs, args) -> None:
+    """A digraph's generators are checked one by one, then every
+    certificate is recomputed: a fresh search under the certificate's
+    options must give the same list and the same completeness."""
     x = _cert_field(cert, "from", check=_name)
     y = _cert_field(cert, "to", check=_name)
-    if inputs.kind != "digraph":
-        _recompute(cert, inputs, args)
-        return
-    gens = _cert_field(cert, "generators", check=_names)
-    _verify_generator_list(inputs.digraph, x, y, gens)
+    if inputs.kind == "digraph":
+        gens = _cert_field(cert, "generators", check=_names)
+        _verify_generator_list(inputs.digraph, x, y, gens)
+    _recompute(cert, inputs, args)
 
 
 def _verify_fixed_set(system: RelSys, mappings: list, cert: dict) -> None:
@@ -740,6 +766,9 @@ def _verify_embed(cert: dict, inputs: _Inputs, args) -> None:
     for key, gens in _cert_field(cert, "distances", check=_object).items():
         x, y = _split_pair_key(key)
         _verify_generator_list(g, x, y, _names(gens, f"distances.{key}"))
+        fresh = zz_generators(g, x, y, args.maxlen)
+        _expect(fresh.complete, f"distances.{key}: the search is not complete")
+        _expect_list(gens, list(fresh.value.generators), f"distances.{key}")
         table[x, y] = words.UpSet.from_words(gens)
     factors = []
     for i, f in enumerate(_cert_field(cert, "factors", check=_list)):
@@ -761,10 +790,38 @@ def _gap_parts(p: Poset, gap: dict, where: str) -> tuple[list, list, int, int]:
     return lower, upper, p._mask(lower), p._mask(upper)
 
 
+def _expect_list(listed: list, fresh: list, where: str) -> None:
+    """The listed entries are exactly the fresh ones, in order."""
+    for i, (got, want) in enumerate(zip(listed, fresh)):
+        _expect(
+            got == want, f"{where}[{i}]: certificate has {got!r}, input gives {want!r}"
+        )
+    _expect(
+        len(listed) == len(fresh),
+        f"{where}: certificate lists {len(listed)} entries, input gives {len(fresh)}",
+    )
+
+
 def _verify_gaps(cert: dict, inputs: _Inputs, args) -> None:
-    # here and in _verify_holes, a message is formatted only when its check fails
+    # here and in _verify_holes, the listed entries are compared with the
+    # command's own enumeration, and checked one by one only to word a
+    # mismatch; a message is formatted only when its check fails
     p = inputs.poset
-    for i, entry in enumerate(_cert_field(cert, "gaps", check=_list)):
+    listed = _cert_field(cert, "gaps", check=_list)
+    fresh = _gap_entries(p, args)
+    if listed != fresh:
+        _check_gap_entries(p, listed)
+        _expect_list(listed, fresh, "gaps")
+    _expect(
+        _cert_field(cert, "complete_lattice") == (not fresh),
+        f"complete_lattice: certificate has {cert.get('complete_lattice')!r}, "
+        f"input gives {not fresh!r}",
+    )
+
+
+def _check_gap_entries(p: Poset, listed: list) -> None:
+    """Each listed gap and its minimal pair are gaps, the pair inside it."""
+    for i, entry in enumerate(listed):
         where = f"gaps[{i}]"
         lower, upper, a, b = _gap_parts(p, _object(entry, where), where)
         if not _is_gap_mask(p, a, b):
@@ -777,18 +834,21 @@ def _verify_gaps(cert: dict, inputs: _Inputs, args) -> None:
             raise _Mismatch(
                 f"minimal pair of ({lower}, {upper}) is not contained in it"
             )
-    fresh = p.is_complete_lattice()
-    _expect(
-        fresh == _cert_field(cert, "complete_lattice"),
-        f"complete_lattice: certificate has {cert.get('complete_lattice')!r}, "
-        f"input gives {fresh!r}",
-    )
 
 
 def _verify_holes(cert: dict, inputs: _Inputs, args) -> None:
     p = inputs.poset
+    listed = _cert_field(cert, "holes", check=_list)
+    fresh = _hole_entries(p, args)
+    if listed != fresh:
+        _check_hole_entries(p, listed)
+        _expect_list(listed, fresh, "holes")
+
+
+def _check_hole_entries(p: Poset, listed: list) -> None:
+    """Each listed gap is a gap, and its radius map a hole and its map."""
     space = poset_to_vspace(p)
-    for i, entry in enumerate(_cert_field(cert, "holes", check=_list)):
+    for i, entry in enumerate(listed):
         where = f"holes[{i}]"
         entry = _object(entry, where)
         gap = _cert_field(entry, "gap", where, _object)
@@ -833,6 +893,10 @@ def _verify_demo(cert: dict, inputs: _Inputs, args) -> None:
     space = zigzag_space(g, args.maxlen)
     _verify_fixed_set(space.to_relsys(), demo.maps, cert)
     bounded = cert.get("bounded")
+    _expect(
+        (bounded is None) == (demo.factor_words is not None),
+        "bounded: the direct route certifies boundedness, the retract route not",
+    )
     if bounded is not None:
         bounded = _object(bounded, "bounded")
         listed = _cert_field(bounded, "diameter", "bounded", _names)
@@ -843,8 +907,10 @@ def _verify_demo(cert: dict, inputs: _Inputs, args) -> None:
             f"diameter: certificate has {listed}, input "
             f"gives {list(fresh.generators)}",
         )
+        witnessed = []
         for name, witness in _cert_field(bounded, "witnesses", "bounded", _pairs):
             value = parse_word_value(name)
+            witnessed.append(space.monoid.name(value))
             _expect(
                 not value.member(witness),
                 f"bounded witness {witness!r} already lies in {name}",
@@ -857,6 +923,8 @@ def _verify_demo(cert: dict, inputs: _Inputs, args) -> None:
                 value.leq(diameter),
                 f"bounded value {name} is not below the diameter",
             )
+        cuts = map(space.monoid.name, bounded_cuts(space.monoid, diameter))
+        _expect_list(sorted(witnessed), sorted(cuts), "bounded witnesses")
 
 
 _VERIFIERS = {

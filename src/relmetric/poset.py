@@ -33,8 +33,8 @@ from typing import Iterable, Mapping, Sequence
 
 from ._record import record
 from .errors import CapError, HypothesisError, InputError, InternalCheckError
-from .relsys import OLRResult, SelfMap, _bits, _subset_mask, retraction_violation
-from .relsys import _transitive_closure
+from .relsys import OLRResult, SelfMap, _bits, _extreme, _subset_mask, _transpose
+from .relsys import _transitive_closure, retraction_violation
 from .vmetric import PRODUCT_CAP, RadiusMap, TableMonoid, VSpace, v4_monoid
 from .words import check_word
 
@@ -96,11 +96,7 @@ class Poset:
     @cached_property
     def _down(self) -> tuple[int, ...]:
         """Bit j of ``_down[i]`` is set when elements[j] <= elements[i]."""
-        idx = self._index
-        down = [1 << i for i in range(len(self.elements))]
-        for x, y in self.lt:
-            down[idx[y]] |= 1 << idx[x]
-        return tuple(down)
+        return _transpose(self._up)
 
     def _check(self, x: str) -> int:
         try:
@@ -129,18 +125,6 @@ class Poset:
             out &= rows[i]
         return out
 
-    @staticmethod
-    def _extreme(rows, mask: int) -> int | None:
-        """The index i in a mask with the whole mask inside ``rows[i]``:
-        its least element for ``_up``, its greatest for ``_down``."""
-        rest = mask
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            if mask & ~rows[i] == 0:
-                return i
-            rest &= rest - 1
-        return None
-
     def leq(self, x: str, y: str) -> bool:
         return bool(self._up[self._check(x)] >> self._check(y) & 1)
 
@@ -163,11 +147,11 @@ class Poset:
         return self._names(self._bounds(self._down, self._mask(subset)))
 
     def sup(self, subset) -> str | None:
-        i = self._extreme(self._up, self._bounds(self._up, self._mask(subset)))
+        i = _extreme(self._up, self._bounds(self._up, self._mask(subset)))
         return None if i is None else self.elements[i]
 
     def inf(self, subset) -> str | None:
-        i = self._extreme(self._down, self._bounds(self._down, self._mask(subset)))
+        i = _extreme(self._down, self._bounds(self._down, self._mask(subset)))
         return None if i is None else self.elements[i]
 
     @property
@@ -187,11 +171,11 @@ class Poset:
         n = len(self.elements)
         full = (1 << n) - 1
         up, down = self._up, self._down
-        if self._extreme(up, full) is None or self._extreme(down, full) is None:
+        if _extreme(up, full) is None or _extreme(down, full) is None:
             return False
         return all(
-            self._extreme(up, up[i] & up[j]) is not None
-            and self._extreme(down, down[i] & down[j]) is not None
+            _extreme(up, up[i] & up[j]) is not None
+            and _extreme(down, down[i] & down[j]) is not None
             for i, j in combinations(range(n), 2)
         )
 
@@ -278,7 +262,7 @@ def _gaps(p: Poset):
         while t >= 0:
             for j in range(t, size):
                 ubs[j + 1] = ubs[j] & up[combo[j]]
-            if p._extreme(up, ubs[size]) is None:
+            if _extreme(up, ubs[size]) is None:
                 yield Gap(tuple(map(els.__getitem__, combo)), p._names(ubs[size]))
             t = size - 1
             while t >= 0 and combo[t] == n - size + t:

@@ -50,6 +50,28 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _extreme(rows, mask: int) -> int | None:
+    """The first index i of a mask with the whole mask inside ``rows[i]``:
+    its least element when the rows are up-sets of an order, its greatest
+    when they are down-sets; None when it has none."""
+    rest = mask
+    while rest:
+        i = (rest & -rest).bit_length() - 1
+        if mask & ~rows[i] == 0:
+            return i
+        rest &= rest - 1
+    return None
+
+
+def _transpose(rows) -> tuple[int, ...]:
+    """Bit j of row i of the result is bit i of ``rows[j]``: the
+    down-sets of an order from its up-sets."""
+    return tuple(
+        sum(1 << j for j, row in enumerate(rows) if row >> i & 1)
+        for i in range(len(rows))
+    )
+
+
 def _transitive_closure(rows) -> list[int]:
     """Warshall's closure on row masks: bit j of row i is set in the
     result when j is reachable from i in one or more steps."""

@@ -26,8 +26,10 @@ carrier, and word-valued verdicts are relative to that closed set; hole
 preservation and the radius are read off the distances, no enumeration.
 
 Representation: a monoid keeps its order as one mask per carrier value,
-the values above it.  A table monoid reads it off its order pairs and
-also tabulates the distance of every pair of values.  A word-value
+the values above it.  A table monoid keeps the masks that ``make``
+closes from its order pairs, reads meets, joins, zero and top as the
+extremes of ANDed masks, and tabulates the distance of every pair of
+values.  A word-value
 carrier is grown by two closures: joins on up-sets, each value joined
 only with the generating values, and meets on integer masks, run to a
 fixpoint between join rounds.  The meet closure keeps each value as the
@@ -61,7 +63,7 @@ from .errors import (
     InternalCheckError,
     StructureError,
 )
-from .relsys import RelSys, _bits, _transitive_closure
+from .relsys import RelSys, _bits, _extreme, _transitive_closure, _transpose
 from .words import UpSet
 
 CARRIER_CAP = 512
@@ -133,8 +135,8 @@ class ValueMonoid:
                     if self.leq(q, self.oplus(p, r))
                     and self.leq(p, self.oplus(q, self.involute(r)))
                 )
-                least = [k for k in _bits(sols) if up[k] & sols == sols]
-                row.append(self.carrier[least[0]] if least else None)
+                least = _extreme(up, sols)
+                row.append(None if least is None else self.carrier[least])
             table.append(tuple(row))
         return tuple(table)
 
@@ -166,13 +168,16 @@ class TableMonoid(ValueMonoid):
     associative and monotone; the involution must be an order
     automorphism of period two that reverses ``oplus``.  All of this is
     validated in :meth:`make`; after that ``oplus`` and ``involute``
-    read the tables through the carrier index, ``leq`` reads a mask of
-    the values above each value, and a value outside the carrier is
-    rejected by ``index``.
+    read the tables through the carrier index, ``leq`` reads ``_up``,
+    the mask of the values above each value, and a value outside the
+    carrier is rejected by ``index``.  Meets, joins, zero and top are
+    the extremes of ANDed masks: the join of a and b is the least value
+    above both, the least index in ``_up[a] & _up[b]`` whose up-set
+    holds them all, and dually on the down-sets for the meet.
     """
 
     carrier: tuple[str, ...]
-    leq_pairs: frozenset[tuple[str, str]]
+    _up: tuple[int, ...]
     oplus_table: tuple[tuple[str, ...], ...]
     involution: tuple[str, ...]
 
@@ -189,14 +194,11 @@ class TableMonoid(ValueMonoid):
             if x not in idx or y not in idx:
                 raise InputError(f"order pair ({x!r}, {y!r}) leaves the carrier")
             up[idx[x]] |= 1 << idx[y]
-        up = _transitive_closure(up)
+        up = tuple(_transitive_closure(up))
         for i, row in enumerate(up):
             for j in _bits(row):
                 if j > i and up[j] >> i & 1:
                     raise InputError(f"order cycle through {els[i]!r} and {els[j]!r}")
-        pairs = frozenset(
-            (els[i], els[j]) for i, row in enumerate(up) for j in _bits(row)
-        )
         rows = []
         for a in els:
             row = []
@@ -218,9 +220,14 @@ class TableMonoid(ValueMonoid):
             if b not in idx:
                 raise InputError(f"involution of {a!r} leaves the carrier")
             inv.append(b)
-        monoid = TableMonoid(els, pairs, tuple(rows), tuple(inv))
-        monoid._meets  # noqa: B018 - forces the lattice validation
-        monoid._joins  # noqa: B018
+        down = _transpose(up)
+        for bounds, kind in ((down, "meet"), (up, "join")):
+            for i, j in combinations(range(len(els)), 2):
+                if _extreme(bounds, bounds[i] & bounds[j]) is None:
+                    raise InputError(
+                        f"not a lattice: ({els[i]!r}, {els[j]!r}) has no {kind}"
+                    )
+        monoid = TableMonoid(els, up, tuple(rows), tuple(inv))
         zero = monoid.zero
         for a in els:
             if monoid.oplus(zero, a) != a or monoid.oplus(a, zero) != a:
@@ -250,14 +257,6 @@ class TableMonoid(ValueMonoid):
     # ``_index`` is read directly on the hot path; on a miss, ``index``
     # raises the carrier error for the value outside the carrier.
 
-    @cached_property
-    def _up(self) -> tuple[int, ...]:
-        """Bit j of ``_up[i]`` is set when carrier[i] <= carrier[j]."""
-        up = [0] * len(self.carrier)
-        for a, b in self.leq_pairs:
-            up[self._index[a]] |= 1 << self._index[b]
-        return tuple(up)
-
     def leq(self, a, b) -> bool:
         try:
             return bool(self._up[self._index[a]] >> self._index[b] & 1)
@@ -277,48 +276,24 @@ class TableMonoid(ValueMonoid):
             return self.involution[self.index(a)]
 
     @cached_property
-    def _meets(self) -> dict:
-        return self._lattice_table(lower=True)
-
-    @cached_property
-    def _joins(self) -> dict:
-        return self._lattice_table(lower=False)
-
-    def _lattice_table(self, lower: bool) -> dict:
-        out = {}
-        for a in self.carrier:
-            for b in self.carrier:
-                if lower:
-                    bounds = [z for z in self.carrier if self.leq(z, a) and self.leq(z, b)]
-                    best = [z for z in bounds if all(self.leq(w, z) for w in bounds)]
-                else:
-                    bounds = [z for z in self.carrier if self.leq(a, z) and self.leq(b, z)]
-                    best = [z for z in bounds if all(self.leq(z, w) for w in bounds)]
-                if len(best) != 1:
-                    kind = "meet" if lower else "join"
-                    raise InputError(f"not a lattice: ({a!r}, {b!r}) has no {kind}")
-                out[a, b] = best[0]
-        return out
+    def _down(self) -> tuple[int, ...]:
+        return _transpose(self._up)
 
     def meet(self, a, b) -> str:
-        return self._meets[self.name(a), self.name(b)]
+        down = self._down
+        return self.carrier[_extreme(down, down[self.index(a)] & down[self.index(b)])]
 
     def join(self, a, b) -> str:
-        return self._joins[self.name(a), self.name(b)]
+        up = self._up
+        return self.carrier[_extreme(up, up[self.index(a)] & up[self.index(b)])]
 
     @cached_property
     def zero(self) -> str:
-        for x in self.carrier:
-            if all(self.leq(x, y) for y in self.carrier):
-                return x
-        raise InputError("the carrier has no least value")
+        return self.carrier[_extreme(self._up, (1 << len(self.carrier)) - 1)]
 
     @cached_property
     def top(self) -> str:
-        for x in self.carrier:
-            if all(self.leq(y, x) for y in self.carrier):
-                return x
-        raise InputError("the carrier has no greatest value")
+        return self.carrier[_extreme(self._down, (1 << len(self.carrier)) - 1)]
 
     def name(self, v) -> str:
         self.index(v)
@@ -908,7 +883,7 @@ class VSpace:
             groups[column] = groups.get(column, 0) | 1 << k
         rels = []
         for column, group in groups.items():
-            least = next(k for k in _bits(group) if m._up[k] & group == group)
+            least = _extreme(m._up, group)
             pairs = frozenset(
                 (x, els[j]) for x, ball in zip(els, column) for j in _bits(ball)
             )

@@ -21,7 +21,11 @@ The algebra carries three interacting structures:
 
 ``concat`` distributes over ``meet``, which yields residuals: for any
 ``p`` and ``q`` there is a least ``r`` with ``q <= concat(p, r)``, and
-dually on the left.  The two residuals combine into the distance
+dually on the left.  They are computed, not searched: the words w with
+g + w above a generator h are the superwords of the left quotient of h
+by g, what follows the longest prefix of h embedding into g, so a
+residual is a join of finitely many such up-sets and has no length
+bound.  The two residuals combine into the distance
 ``distance(p, q)``, the least ``r`` with ``p <= concat(q, involute(r))``
 and ``q <= concat(p, r)``; it makes the algebra a generalized metric
 space over itself.
@@ -30,18 +34,14 @@ space over itself.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Iterator
 
 from ._record import record
-from .errors import CapError, InputError
+from .errors import InputError
 
 ALPHABET = "+-"
 _FLIP = str.maketrans("+-", "-+")
-
-# Residual searches enumerate all words up to a derived length bound;
-# beyond this the search space is too large to scan.
-RESIDUAL_LENGTH_CAP = 18
 
 # Entries kept by each memo of this module, so a long-lived process
 # holds a bounded number of words and values.
@@ -67,13 +67,9 @@ def is_subword(u: str, v: str) -> bool:
 
 
 def words_up_to(maxlen: int) -> list[str]:
-    """All words of length <= maxlen, shortest first, "+" before "-"."""
-    out = [""]
-    level = [""]
-    for _ in range(maxlen):
-        level = [w + c for w in level for c in ALPHABET]
-        out.extend(level)
-    return out
+    """All words of length <= maxlen, shortest first, "+" before "-":
+    the finite universes of the test oracles."""
+    return ["".join(t) for n in range(maxlen + 1) for t in product(ALPHABET, repeat=n)]
 
 
 def minimal_words(words: Iterable[str]) -> tuple[str, ...]:
@@ -228,28 +224,33 @@ def join_all(values: Iterable[UpSet]) -> UpSet:
     return out
 
 
+def _rest(h: str, g: str) -> str:
+    """What follows the longest prefix of h that embeds into g; the
+    greedy embedding places each letter as early as it can, so it
+    embeds the longest prefix."""
+    it = iter(g)
+    for k, c in enumerate(h):
+        if c not in it:
+            return h[k:]
+    return ""
+
+
 def left_residual(q: UpSet, p: UpSet) -> UpSet:
     """The least r in the value order with q <= concat(p, r).
 
-    Equivalently the largest final segment R with ``p . R`` inside q.
-    Pointwise, w belongs to R iff g + w lies in q for every generator g
-    of p.  A minimal such w is covered by embeddings of q-generators
-    into the words g + w, one per generator of p, so its length is at
-    most ``len(p.generators) * q.max_generator_len()`` and enumeration
-    up to that bound finds the whole antichain.
+    Equivalently the largest final segment R with ``p . R`` inside q:
+    w belongs to R iff g + w lies in q for every generator g of p.  A
+    generator h of q embeds into g + w exactly when the rest of h after
+    its longest prefix embedding into g embeds into w, so the words w
+    with g + w in q form the up-set of those rests, one per h.  R is
+    their intersection over the generators g of p: the join of the
+    quotients, with no search.  No generators of p leave R the full
+    language, ``ZERO``; no generators of q leave it empty, ``TOP``.
     """
-    bound = len(p.generators) * q.max_generator_len()
-    if bound > RESIDUAL_LENGTH_CAP:
-        raise CapError(
-            f"residual search bound {bound} exceeds cap {RESIDUAL_LENGTH_CAP}"
-        )
-    gens: list[str] = []
-    for w in words_up_to(bound):
-        if any(is_subword(m, w) for m in gens):
-            continue
-        if all(q.member(g + w) for g in p.generators):
-            gens.append(w)
-    return UpSet(tuple(sorted(gens)))
+    return join_all(
+        UpSet(minimal_words(_rest(h, g) for h in q.generators))
+        for g in p.generators
+    )
 
 
 def right_residual(q: UpSet, p: UpSet) -> UpSet:
@@ -339,7 +340,11 @@ def iter_upsets(max_generator_len: int, max_generators: int) -> Iterator[UpSet]:
     Enumerated by extending antichains over the words of length up to
     ``max_generator_len`` in a fixed order; deterministic.
     """
-    pool = sorted(words_up_to(max_generator_len), key=lambda w: (len(w), w))
+    pool = [
+        "".join(t)
+        for n in range(max_generator_len + 1)
+        for t in product(ALPHABET, repeat=n)
+    ]
 
     def extend(prefix: tuple[str, ...], start: int) -> Iterator[tuple[str, ...]]:
         yield prefix

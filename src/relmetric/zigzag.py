@@ -588,6 +588,16 @@ class BoundedCert:
     witnesses: tuple[tuple[str, str], ...]
 
 
+def bounded_cuts(monoid: WordValueMonoid, diameter: UpSet) -> list[UpSet]:
+    """The values boundedness quantifies over: the nonzero carrier values
+    at or below the diameter that are cuts of the completion by cones."""
+    return [
+        v
+        for v in monoid.carrier
+        if not v.is_zero and v.leq(diameter) and words.in_macneille(v)
+    ]
+
+
 def macneille_bounded(space: VSpace) -> BoundedCert:
     """Check boundedness of a word-valued space over the cut values.
 
@@ -609,9 +619,7 @@ def macneille_bounded(space: VSpace) -> BoundedCert:
         raise HypothesisError("the diameter is not a cut of the completion")
     failures: list[str] = []
     witnesses: list[tuple[str, str]] = []
-    for v in monoid.carrier:
-        if v.is_zero or not v.leq(diameter) or not words.in_macneille(v):
-            continue
+    for v in bounded_cuts(monoid, diameter):
         w = words.principal_accessibility_witness(v)
         if w is None:
             failures.append(monoid.name(v))

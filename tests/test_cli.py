@@ -15,6 +15,7 @@ import random
 import subprocess
 import sys
 import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ from relmetric import cli, zigzag
 from relmetric.cli import main
 from relmetric.errors import InternalCheckError
 from relmetric.vmetric import VSpace
-from test_poset import random_poset, set_find_gaps
+from test_poset import random_poset, set_find_gaps, set_sup, set_upper_bounds
 
 VEE_GRAPH = {
     "vertices": ["0", "1", "2"],
@@ -171,6 +172,39 @@ def test_check_lattice_witness_is_the_first_oracle_gap(tmp_path):
     assert witnesses >= 10
 
 
+def first_oracle_gap(p) -> dict:
+    """The first (A, upper bounds of A) with no join for A, in the gap
+    enumeration order, by set scans."""
+    for size in range(len(p.elements) + 1):
+        for combo in combinations(p.elements, size):
+            if set_sup(p, combo) is None:
+                upper = set_upper_bounds(p, combo)
+                return {"lower": list(combo), "upper": list(upper)}
+    return None
+
+
+def test_check_lattice_witness_on_larger_posets_ignores_the_cap(tmp_path):
+    rng = random.Random(97)
+    seen = set()
+    for n in range(9, 15):
+        for _ in range(3):
+            p = random_poset(rng, n)
+            gap = first_oracle_gap(p)
+            if gap is None:
+                continue
+            seen.add(n)
+            doc = {"elements": list(p.elements), "covers": sorted(p.lt)}
+            path = write(tmp_path, "p.json", doc)
+            for cap in ([], ["--cap", "3"]):
+                argv = ["check", "lattice", "--input", path, *cap]
+                code, payload, cert = run_to_file(tmp_path, argv)
+                assert code == 0 and payload["verdict"] is False
+                assert payload["witness"] == gap, (n, cap)
+                vcode, vout = verify(tmp_path, cert)
+                assert vcode == 0 and vout["verdict"] is True
+    assert seen == set(range(9, 15))
+
+
 def test_check_lattice_positive_on_chain(tmp_path):
     path = write(tmp_path, "p.json", CHAIN_POSET)
     code, payload, _ = run_to_file(
@@ -266,6 +300,27 @@ def test_unparsable_file_is_input_error_naming_it(tmp_path, capsys, content, ent
     }[entry]
     assert main(argv) == 2
     assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", ["input", "maps", "cert"])
+def test_duplicate_key_is_input_error_naming_file_and_key(tmp_path, capsys, entry):
+    graph = write(tmp_path, "g.json", VEE_GRAPH)
+    content = {
+        "input": '{"vertices": ["0"], "vertices": ["1"], "arcs": []}',
+        "maps": '{"0": "0", "1": "1", "2": "2", "1": "1"}',
+        "cert": '{"command": "gaps", "input": "%s", "command": "gaps"}' % graph,
+    }[entry]
+    bad = tmp_path / "dup.json"
+    bad.write_text(content)
+    argv = {
+        "input": ["check", "axioms", "--input", str(bad)],
+        "maps": ["fixpoint", "--input", graph, "--maps", str(bad)],
+        "cert": ["verify", "--cert", str(bad)],
+    }[entry]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    key = {"input": "vertices", "maps": "1", "cert": "command"}[entry]
+    assert str(bad) in err and f"duplicate key {key!r}" in err
 
 
 def test_unrecognized_document_is_input_error(tmp_path, capsys):
@@ -591,6 +646,52 @@ def test_distance_cert_padded_generator_detected(tmp_path):
     _, vout = verify(tmp_path, cert)
     assert vout["verdict"] is False
     assert "already a member" in vout["detail"]
+
+
+def test_distance_cert_missing_a_generator_detected(tmp_path):
+    # 1 and 2 reach each other by one arc each way: d(1, 2) is ^{+, -}
+    doc = {
+        "vertices": ["0", "1", "2"],
+        "arcs": [["1", "2"], ["2", "1"]],
+        "add_loops": True,
+    }
+    path = write(tmp_path, "g.json", doc)
+    _, payload, cert = run_to_file(
+        tmp_path, ["distance", "--input", path, "--from", "1", "--to", "2"]
+    )
+    assert payload["generators"] == ["+", "-"] and payload["complete"] is True
+    payload["generators"] = ["+"]
+    Path(cert).write_text(json.dumps(payload))
+    _, vout = verify(tmp_path, cert)
+    assert vout["verdict"] is False
+    assert vout["detail"] == (
+        "mismatch at 'generators': certificate has ['+'], input gives ['+', '-']"
+    )
+    # nor can the list claim to come from a truncated search
+    payload["complete"] = False
+    Path(cert).write_text(json.dumps(payload))
+    _, vout = verify(tmp_path, cert)
+    assert vout["detail"] == (
+        "mismatch at 'complete': certificate has False, input gives True"
+    )
+
+
+def test_embed_cert_missing_a_generator_detected(tmp_path):
+    doc = {
+        "vertices": ["0", "1", "2", "3"],
+        "arcs": [["0", "1"], ["2", "1"], ["3", "0"], ["3", "1"], ["3", "2"]],
+        "add_loops": True,
+    }
+    path = write(tmp_path, "g.json", doc)
+    _, payload, cert = run_to_file(tmp_path, ["embed", "--input", path])
+    assert payload["distances"]["0,2"] == ["+-", "-+"]
+    payload["distances"]["0,2"] = ["+-"]
+    Path(cert).write_text(json.dumps(payload))
+    _, vout = verify(tmp_path, cert)
+    assert vout["verdict"] is False
+    assert vout["detail"] == (
+        "mismatch at distances.0,2: certificate lists 1 entries, input gives 2"
+    )
 
 
 # -------------------------------------------------------------- fixpoint
@@ -1058,6 +1159,38 @@ def test_holes_cert_with_another_gaps_radii_is_rejected(tmp_path):
     assert vout["detail"].startswith("mismatch at holes[0].radii:")
 
 
+FOUR_CROWN = {
+    "elements": ["a", "b", "c", "d"],
+    "covers": [["a", "c"], ["b", "c"], ["a", "d"], ["b", "d"]],
+}
+
+
+@pytest.mark.parametrize("command", ["gaps", "holes"])
+def test_cut_gaps_and_holes_certs_are_rejected(tmp_path, command):
+    path = write(tmp_path, "p.json", FOUR_CROWN)
+    _, payload, cert = run_to_file(tmp_path, [command, "--input", path])
+    assert len(payload[command]) == 6
+    del payload[command][1:]
+    Path(cert).write_text(json.dumps(payload))
+    _, vout = verify(tmp_path, cert)
+    assert vout["verdict"] is False
+    assert vout["detail"] == (
+        f"mismatch at {command}: certificate lists 1 entries, input gives 6"
+    )
+
+
+def test_gaps_cert_with_a_larger_minimal_pair_is_rejected(tmp_path):
+    path = write(tmp_path, "p.json", FOUR_CROWN)
+    _, payload, cert = run_to_file(tmp_path, ["gaps", "--input", path])
+    entry = payload["gaps"][0]
+    assert entry["minimal"] != {"lower": entry["lower"], "upper": entry["upper"]}
+    entry["minimal"] = {"lower": entry["lower"], "upper": entry["upper"]}
+    Path(cert).write_text(json.dumps(payload))
+    _, vout = verify(tmp_path, cert)
+    assert vout["verdict"] is False
+    assert vout["detail"].startswith("mismatch at gaps[0]: certificate has")
+
+
 # ------------------------------------------------------------------ demo
 
 
@@ -1191,6 +1324,26 @@ def test_demo_cert_tamper_detected(tmp_path):
     _, vout = verify(tmp_path, cert)
     assert vout["verdict"] is False
     assert "witness" in vout["detail"]
+
+
+def test_demo_cert_missing_a_witness_or_the_bound_is_rejected(tmp_path):
+    doc = {
+        "kind": "zigzag",
+        "graph": {"vertices": ["0", "1"], "arcs": [["0", "1"]], "add_loops": True},
+        "maps": [{"0": "0", "1": "1"}],
+    }
+    path = write(tmp_path, "d.json", doc)
+    _, payload, cert = run_to_file(tmp_path, ["demo", "--input", path])
+    assert payload["route"] == "direct"
+    assert len(payload["bounded"]["witnesses"]) == 3
+    for bounded in (
+        dict(payload["bounded"], witnesses=payload["bounded"]["witnesses"][1:]),
+        None,
+    ):
+        Path(cert).write_text(json.dumps(dict(payload, bounded=bounded)))
+        _, vout = verify(tmp_path, cert)
+        assert vout["verdict"] is False
+        assert "bounded" in vout["detail"]
 
 
 # ---------------------------------------------------------------- verify

@@ -207,6 +207,82 @@ def test_table_monoid_rejects_bad_structure():
         )
 
 
+def bound_list_scan(carrier, leq, lower: bool) -> dict:
+    """Meets (``lower``) or joins of every pair by listing all common
+    bounds and keeping the one above (below) every other: the oracle
+    for the mask extremes of ``TableMonoid``, with its error texts."""
+    out = {}
+    for a in carrier:
+        for b in carrier:
+            if lower:
+                bounds = [z for z in carrier if leq(z, a) and leq(z, b)]
+                best = [z for z in bounds if all(leq(w, z) for w in bounds)]
+            else:
+                bounds = [z for z in carrier if leq(a, z) and leq(b, z)]
+                best = [z for z in bounds if all(leq(z, w) for w in bounds)]
+            if len(best) != 1:
+                kind = "meet" if lower else "join"
+                raise InputError(f"not a lattice: ({a!r}, {b!r}) has no {kind}")
+            out[a, b] = best[0]
+    return out
+
+
+def assert_lattice_matches_the_scan(m: TableMonoid) -> None:
+    meets = bound_list_scan(m.carrier, m.leq, lower=True)
+    joins = bound_list_scan(m.carrier, m.leq, lower=False)
+    for a in m.carrier:
+        for b in m.carrier:
+            assert m.meet(a, b) == meets[a, b], (a, b)
+            assert m.join(a, b) == joins[a, b], (a, b)
+    values = m.carrier
+    assert m.zero == next(x for x in values if all(m.leq(x, y) for y in values))
+    assert m.top == next(x for x in values if all(m.leq(y, x) for y in values))
+
+
+def test_table_lattice_matches_the_bound_list_scan():
+    rng = random.Random(61)
+    monoids = [V4, m3_monoid()]
+    for _ in range(16):
+        els, lt = closure_system_lattice(rng, rng.choice((3, 4)), rng.randint(1, 6))
+        rng.shuffle(els)  # the carrier order need not follow the order
+
+        def leq(x, y, lt=lt):
+            return x == y or (x, y) in lt
+
+        joins = bound_list_scan(els, leq, lower=False)
+        monoids.append(TableMonoid.make(els, lt, joins, {x: x for x in els}))
+    assert max(len(m.carrier) for m in monoids) >= 8
+    for m in monoids:
+        assert_lattice_matches_the_scan(m)
+
+
+def test_table_monoid_names_the_first_pair_without_a_meet_or_join():
+    rng = random.Random(67)
+    refused = 0
+    for n in (3, 4, 5, 6) * 8:
+        lt = random_strict_order(rng, n)
+        els = [str(i) for i in range(n)]
+        rng.shuffle(els)
+
+        def leq(x, y, lt=lt):
+            return x == y or (x, y) in lt
+
+        try:
+            bound_list_scan(els, leq, lower=True)
+            joins = bound_list_scan(els, leq, lower=False)
+        except InputError as exc:
+            refused += 1
+            constant = {(x, y): els[0] for x in els for y in els}
+            with pytest.raises(InputError) as got:
+                TableMonoid.make(els, lt, constant, {x: x for x in els})
+            assert str(got.value) == str(exc)
+        else:
+            assert_lattice_matches_the_scan(
+                TableMonoid.make(els, lt, joins, {x: x for x in els})
+            )
+    assert refused >= 10
+
+
 def test_non_residuated_monoid_raises_only_where_no_least_solution():
     m3 = m3_monoid()
     assert m3.dist("a", "b") == "c"

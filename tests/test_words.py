@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relmetric import words as W
@@ -305,6 +305,49 @@ def test_distance_against_oracle():
             # the computed value itself solves both conditions
             assert p.leq(q.concat(d.involute()))
             assert q.leq(p.concat(d))
+
+
+long_word_lists = st.lists(
+    st.text(alphabet="+-", min_size=1, max_size=8), min_size=1, max_size=3
+)
+
+
+def assert_matches_membership(r: UpSet, member) -> None:
+    """r is the up-set of the words that ``member`` accepts: each
+    generator is accepted and none of its one-letter deletions is, and r
+    agrees with ``member`` on the whole universe."""
+    for g in r.generators:
+        assert member(g), g
+        assert not any(member(g[:i] + g[i + 1 :]) for i in range(len(g))), g
+    for w in UNIVERSE:
+        assert r.member(w) == member(w), w
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(long_word_lists, long_word_lists)
+@example(["+-+-+-+-", "--++--++"], ["+-+-+-+", "-+-+-+-", "++--++-"])
+@example(["++++++++", "--------"], ["+-+-+-+-", "-+-+-+-+", "++--++--"])
+def test_residuals_and_distance_by_quotients_against_membership(qs, ps):
+    """The residuals and the distance computed from quotients agree with
+    the membership oracles, also where |p| * maxlen(q) exceeds 18, the
+    bound past which an enumeration of every word was refused."""
+    q, p = UpSet.from_words(qs), UpSet.from_words(ps)
+    assert_matches_membership(
+        W.left_residual(q, p), lambda w: residual_oracle_left(q, p, w)
+    )
+    assert_matches_membership(
+        W.right_residual(q, p), lambda w: residual_oracle_right(q, p, w)
+    )
+    assert_matches_membership(
+        W.distance(p, q), lambda w: distance_oracle_member(p, q, w)
+    )
+
+
+def test_distance_past_the_old_enumeration_bound():
+    p = UpSet.from_words(["+-+-+-+", "-+-+-+-", "++--++-"])
+    q = UpSet.from_words(["+-+-+-+-", "--++--++"])
+    assert len(p.generators) * q.max_generator_len() == 24
+    assert W.distance(p, q) == UpSet.from_words(["+-+-", "-++"])
 
 
 def test_distance_axioms():
