@@ -16,12 +16,14 @@ invocations produce identical bytes.  The verify subcommand re-checks a
 certificate against the input: witnesses are checked definitionally,
 while a certificate without witnesses (check, and distance or embed on
 a space or poset) is computed again by the command's own handler and
-compared field by field, and a zigzag demo rebuilds its space.  Lists
-are compared in full: a digraph distance is recomputed whole after its
-generators are checked, an embedding's distances are searched again,
-the gaps and holes are compared with the command's enumeration, and a
-direct-route demo's boundedness witnesses with the cut values of the
-rebuilt carrier.
+compared field by field, and a zigzag demo searches its distances
+again.  Lists are compared in full: a digraph distance is recomputed
+whole after its generators are checked, an embedding's distances are
+searched again, the gaps and holes are compared with the command's
+enumeration, and a direct-route demo's boundedness witnesses with the
+cut values of the closed carrier.  The other fields are compared with
+what the command emits: the verdict, a demo's route and product size,
+the sorted fixed points and an embedding's coordinates.
 
 Exit codes: 0 when a verdict was computed (negative verdicts
 included), 2 for input errors, 3 for exceeded caps, 4 for violated
@@ -78,13 +80,13 @@ from .zigzag import (
     Digraph,
     FactorMap,
     bounded_cuts,
+    distance_space,
     embed_into_zigzag_product,
     embedding_violation,
     macneille_bounded,
     product_retract_violation,
     values_in_macneille,
     zigzag_fixed_point_demo,
-    zigzag_space,
     zz_generators,
     zz_member,
 )
@@ -239,7 +241,7 @@ def _word_value(value: Any, path: str) -> words.UpSet:
     return parse_word_value(value)
 
 
-def _load_vspace(doc: dict, monoid_override: str | None, carrier_cap: int) -> VSpace:
+def _load_vspace(doc: dict, monoid_override: str | None) -> VSpace:
     monoid_spec = monoid_override if monoid_override is not None else doc.get("monoid")
     if monoid_spec is None:
         raise InputError("the space file needs a 'monoid' field")
@@ -255,7 +257,7 @@ def _load_vspace(doc: dict, monoid_override: str | None, carrier_cap: int) -> VS
                 "oplus_length_bound: expected a non-negative integer, "
                 f"got {bound!r}"
             )
-        monoid = WordValueMonoid.from_values(set(dist.values()), bound, carrier_cap)
+        monoid = WordValueMonoid.over(dist.values(), bound)
     elif isinstance(monoid_spec, dict):
         monoid = TableMonoid.make(
             _names(monoid_spec.get("carrier", []), "monoid.carrier"),
@@ -304,13 +306,12 @@ class _Inputs:
 
     @cached_property
     def space(self) -> VSpace:
-        cap = CARRIER_CAP if self.args.cap is None else self.args.cap
         if self.kind == "vspace":
-            return _load_vspace(self.doc, self.args.monoid, cap)
+            return _load_vspace(self.doc, self.args.monoid)
         if self.kind == "poset":
             return poset_to_vspace(self.poset)
         if self.kind == "digraph":
-            return zigzag_space(self.digraph, maxlen=self.args.maxlen, carrier_cap=cap)
+            return distance_space(self.digraph, self.args.maxlen)
         raise InputError(
             "this input carries no distance; supply a space, poset, or digraph"
         )
@@ -423,6 +424,11 @@ def _emit(payload: dict, args) -> None:
 # ----------------------------------------------------------------- check
 
 
+def _closed_space(inputs: _Inputs, args) -> VSpace:
+    """For the checks that quantify over values: closed under ``--cap``."""
+    return inputs.space.closed(CARRIER_CAP if args.cap is None else args.cap)
+
+
 def _run_check(inputs: _Inputs, args):
     prop = args.property
     payload = _base_payload("check", args, inputs)
@@ -432,16 +438,16 @@ def _run_check(inputs: _Inputs, args):
         payload["verdict"] = ok
         payload["witness"] = _jsonify(witness)
     elif prop == "hyperconvex":
-        ok, witness = inputs.space.is_hyperconvex()
+        ok, witness = _closed_space(inputs, args).is_hyperconvex()
         payload["verdict"] = ok
         payload["witness"] = _jsonify(witness)
     elif prop == "bounded":
-        space = inputs.space
+        space = _closed_space(inputs, args)
         payload["verdict"] = space.is_bounded()
         payload["diameter"] = _serialize_value(space.monoid, space.diameter())
     elif prop == "macneille-bounded":
         try:
-            cert = macneille_bounded(inputs.space)
+            cert = macneille_bounded(_closed_space(inputs, args))
         except HypothesisError as exc:
             payload["verdict"] = False
             payload["reason"] = str(exc)
@@ -652,6 +658,16 @@ def _expect(condition: bool, where: str) -> None:
         raise _Mismatch(where)
 
 
+def _expect_field(cert: dict, key: str, fresh: Any) -> None:
+    """The certificate's field ``key`` is what the command gives, of the
+    same JSON type (``1`` is not ``true``)."""
+    got = _cert_field(cert, key)
+    _expect(
+        type(got) is type(fresh) and got == fresh,
+        f"{key!r}: certificate has {got!r}, input gives {fresh!r}",
+    )
+
+
 def _cert_field(cert: dict, key: str, where: str = "", check=None) -> Any:
     """The field ``key`` of the certificate object at the JSON path
     ``where`` (the top level when empty), passed through ``check(value,
@@ -736,9 +752,8 @@ def _verify_fixed_set(system: RelSys, mappings: list, cert: dict) -> None:
     except InputError as exc:
         raise _Mismatch(str(exc)) from None
     _expect(
-        sorted(expected) == sorted(fixed),
-        f"fixed points: certificate has {sorted(fixed)}, the maps fix "
-        f"{sorted(expected)}",
+        fixed == sorted(expected),
+        f"fixed points: certificate has {fixed}, the maps fix {sorted(expected)}",
     )
     _expect(olr.ok, f"retract table: no valid anchor exists for {olr.violator!r}")
     table = _cert_field(cert, "retract_table", check=_object)
@@ -752,6 +767,7 @@ def _verify_fixed_set(system: RelSys, mappings: list, cert: dict) -> None:
 
 
 def _verify_fixpoint(cert: dict, inputs: _Inputs, args) -> None:
+    _expect_field(cert, "verdict", True)
     _cert_field(cert, "maps", check=_names)
     mappings = inputs.maps
     _verify_fixed_set(inputs.relsys, mappings, cert)
@@ -761,6 +777,7 @@ def _verify_embed(cert: dict, inputs: _Inputs, args) -> None:
     if inputs.kind != "digraph":
         _recompute(cert, inputs, args)
         return
+    _expect_field(cert, "verdict", True)
     g = inputs.digraph
     table = {}
     for key, gens in _cert_field(cert, "distances", check=_object).items():
@@ -780,6 +797,14 @@ def _verify_embed(cert: dict, inputs: _Inputs, args) -> None:
         factors.append(FactorMap(pair, word, tuple(sorted(image.items()))))
     violation = embedding_violation(g.vertices, table, factors)
     _expect(violation is None, violation)
+    coordinates = _cert_field(cert, "coordinates", check=_object)
+    fresh = {v: [f.as_dict[v] for f in factors] for v in g.vertices}
+    for v in sorted(set(coordinates) | set(fresh)):
+        _expect(
+            coordinates.get(v) == fresh.get(v),
+            f"coordinates.{v}: certificate has {coordinates.get(v)!r}, the "
+            f"factor images give {fresh.get(v)!r}",
+        )
 
 
 def _gap_parts(p: Poset, gap: dict, where: str) -> tuple[list, list, int, int]:
@@ -806,6 +831,7 @@ def _verify_gaps(cert: dict, inputs: _Inputs, args) -> None:
     # here and in _verify_holes, the listed entries are compared with the
     # command's own enumeration, and checked one by one only to word a
     # mismatch; a message is formatted only when its check fails
+    _expect_field(cert, "verdict", True)
     p = inputs.poset
     listed = _cert_field(cert, "gaps", check=_list)
     fresh = _gap_entries(p, args)
@@ -837,6 +863,7 @@ def _check_gap_entries(p: Poset, listed: list) -> None:
 
 
 def _verify_holes(cert: dict, inputs: _Inputs, args) -> None:
+    _expect_field(cert, "verdict", True)
     p = inputs.poset
     listed = _cert_field(cert, "holes", check=_list)
     fresh = _hole_entries(p, args)
@@ -875,22 +902,25 @@ def _verify_demo(cert: dict, inputs: _Inputs, args) -> None:
         kind == demo.kind,
         f"kind: certificate has {kind!r}, input gives {demo.kind!r}",
     )
+    _expect_field(cert, "verdict", True)
     if demo.kind == "fence-retract":
         product = poset_product([make_fence(o) for o in demo.orientations])
         violation = retraction_violation(
             product.elements, product.lt, demo.sub, demo.retraction
         )
         _expect(violation is None, violation)
+        _expect_field(cert, "product_size", len(product.elements))
         system = poset_to_vspace(product.restrict(demo.sub)).to_relsys()
         _verify_fixed_set(system, demo.maps, cert)
         return
     g = demo.graph
+    _expect_field(cert, "route", "direct" if demo.factor_words is None else "retract")
     if demo.factor_words is not None:
         violation = product_retract_violation(
             g, demo.factor_words, demo.retraction or {}
         )
         _expect(violation is None, violation)
-    space = zigzag_space(g, args.maxlen)
+    space = distance_space(g, args.maxlen)
     _verify_fixed_set(space.to_relsys(), demo.maps, cert)
     bounded = cert.get("bounded")
     _expect(
@@ -908,7 +938,9 @@ def _verify_demo(cert: dict, inputs: _Inputs, args) -> None:
             f"gives {list(fresh.generators)}",
         )
         witnessed = []
-        for name, witness in _cert_field(bounded, "witnesses", "bounded", _pairs):
+        pairs = _cert_field(bounded, "witnesses", "bounded", _pairs)
+        for i, (name, witness) in enumerate(pairs):
+            witness = _word(witness, f"bounded.witnesses[{i}][1]")
             value = parse_word_value(name)
             witnessed.append(space.monoid.name(value))
             _expect(
@@ -923,7 +955,8 @@ def _verify_demo(cert: dict, inputs: _Inputs, args) -> None:
                 value.leq(diameter),
                 f"bounded value {name} is not below the diameter",
             )
-        cuts = map(space.monoid.name, bounded_cuts(space.monoid, diameter))
+        monoid = space.closed().monoid
+        cuts = map(monoid.name, bounded_cuts(monoid, diameter))
         _expect_list(sorted(witnessed), sorted(cuts), "bounded witnesses")
 
 

@@ -22,8 +22,10 @@ Provided here:
   under maps, and the hole-preservation test.
 
 Checks that quantify over values range over the monoid's finite
-carrier, and word-valued verdicts are relative to that closed set; hole
-preservation and the radius are read off the distances, no enumeration.
+carrier, closed by :meth:`VSpace.closed`, and word-valued verdicts are
+relative to that closed set; the axioms and the relational view read
+the distances alone, and hole preservation and the radius are read off
+them, no enumeration.
 
 Representation: a monoid keeps its order as one mask per carrier value,
 the values above it.  A table monoid keeps the masks that ``make``
@@ -42,9 +44,9 @@ length bound and the cap; a refusal is kept as the text of its
 the same key.  A space keeps one table of balls, the mask of B(x, v) for
 every element x and carrier index of v, where bit j stands for the j-th
 element in sorted order, built from the order masks.  Hyperconvexity
-(ball classes, the disjointness test and the clique search), holes and
-the relational view read that table; a radius outside the carrier is
-scanned with the monoid's order.
+(ball classes, the disjointness test and the clique search) and holes
+read that table; a radius outside the carrier is scanned with the
+monoid's order.
 """
 
 from __future__ import annotations
@@ -153,7 +155,7 @@ class ValueMonoid:
         return self.accessibility_value_witness(v) is not None
 
     def check_lattice(self) -> None:
-        """Radii, holes and ``to_relsys`` need a lattice; ``make`` checks it."""
+        """Radii and holes need a lattice; ``make`` checks it."""
 
     def inaccessible_values(self) -> tuple:
         return tuple(v for v in self.carrier if not self.is_accessible(v))
@@ -552,6 +554,17 @@ class WordValueMonoid(ValueMonoid):
     masks: tuple[tuple[int, int], ...] | None = None
 
     @staticmethod
+    def over(values: Iterable[UpSet], bound: int | None = None) -> "WordValueMonoid":
+        """The values, 0 and top, not closed; the values are checked, and
+        the bound defaults to twice the longest generator, at least 2."""
+        seeds = set(values) | {words.ZERO, words.TOP}
+        if not all(isinstance(u, UpSet) for u in seeds):
+            raise InputError("word values must be UpSet instances")
+        if bound is None:
+            bound = max(2, 2 * max(u.max_generator_len() for u in seeds))
+        return WordValueMonoid(tuple(sorted(seeds, key=_upset_key)), bound)
+
+    @staticmethod
     def from_values(
         values: Iterable[UpSet],
         oplus_length_bound: int | None = None,
@@ -559,27 +572,18 @@ class WordValueMonoid(ValueMonoid):
     ) -> "WordValueMonoid":
         """The carrier generated by ``values``, closed once per process.
 
-        The values are checked first.  The bound defaults to twice the
-        longest seed generator, at least 2.  The result is then looked
-        up in a memo of the last 64 closures, keyed by the frozen
-        generator set (the seeds, 0, top and their involutes), the
+        The values and the bound are those of :meth:`over`.  The result
+        is then looked up in a memo of the last 64 closures, keyed by the
+        frozen generator set (the seeds, 0, top and their involutes), the
         resolved bound and ``carrier_cap``: seed sets that give the same
         generators, in any order, share one immutable carrier.  A
         refusal is kept as the text of its ``CapError`` alone, and each
         later call with that key raises a fresh ``CapError`` with the
         same text, without closing again.
         """
-        seeds = set(values)
-        for u in seeds:
-            if not isinstance(u, UpSet):
-                raise InputError("word values must be UpSet instances")
-        seeds |= {words.ZERO, words.TOP}
-        if oplus_length_bound is None:
-            oplus_length_bound = max(
-                2, 2 * max(u.max_generator_len() for u in seeds)
-            )
-        generators = frozenset(seeds | {u.involute() for u in seeds})
-        closed = _closed_carrier(generators, oplus_length_bound, carrier_cap)
+        seeds = WordValueMonoid.over(values, oplus_length_bound)
+        generators = frozenset(seeds.carrier) | {u.involute() for u in seeds.carrier}
+        closed = _closed_carrier(generators, seeds.oplus_length_bound, carrier_cap)
         if isinstance(closed, str):
             raise CapError(closed)
         return closed
@@ -870,25 +874,35 @@ class VSpace:
     # ------------------------------------------------------ relational view
 
     def to_relsys(self) -> RelSys:
-        """One relation per distinct set of pairs at distance at most v,
-        over the carrier values v, named by the least value that gives
-        it; reflexive and involutive whenever the axioms hold.  The
-        carrier is a lattice, so that least value is the join of the
-        distances of the pairs."""
+        """One relation R_u = {(x, y) : d(x, y) <= u} per join u of distance
+        values (0 for none), named by u; reflexive and involutive whenever
+        the axioms hold.  Each u is the join of the distances below it, so
+        on a lattice these are the distinct R_v, each named by the least v
+        that gives it.  No carrier is read."""
         m = self.monoid
-        m.check_lattice()
-        els = self.elements
-        groups: dict[tuple[int, ...], int] = {}
-        for k, column in enumerate(zip(*self._balls)):
-            groups[column] = groups.get(column, 0) | 1 << k
+        pairs_at: dict = {}
+        for pair, d in self.dist.items():
+            pairs_at.setdefault(d, []).append(pair)
+        joins = {m.zero}
+        for d in pairs_at:
+            for u in list(joins):
+                joins.add(m.join(u, d))
+                if len(joins) > CARRIER_CAP:  # so would the closed carrier
+                    raise CapError(f"the distances have over {CARRIER_CAP} joins")
         rels = []
-        for column, group in groups.items():
-            least = _extreme(m._up, group)
-            pairs = frozenset(
-                (x, els[j]) for x, ball in zip(els, column) for j in _bits(ball)
-            )
-            rels.append((m.name(m.carrier[least]), pairs))
-        return RelSys(els, tuple(sorted(rels)))
+        for u in joins:
+            below = [pairs for d, pairs in pairs_at.items() if m.leq(d, u)]
+            rels.append((m.name(u), frozenset().union(*below)))
+        return RelSys(self.elements, tuple(sorted(rels)))
+
+    def closed(self, cap: int = CARRIER_CAP) -> "VSpace":
+        """This space over its word values closed under ``cap``, for the
+        checks that quantify over values; a table or closed carrier stays."""
+        m = self.monoid
+        if not isinstance(m, WordValueMonoid) or m.masks is not None:
+            return self
+        closed = WordValueMonoid.from_values(m.carrier, m.oplus_length_bound, cap)
+        return VSpace(self.elements, closed, self.dist)
 
     # ------------------------------------------------------- hyperconvexity
 

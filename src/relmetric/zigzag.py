@@ -17,9 +17,9 @@ Provided here:
 * membership and generator computation for zigzag distances with an
   automaton-based completeness certificate (:func:`zz_member`,
   :func:`zz_generators`);
-* the bridge to word-valued metric spaces (:func:`zigzag_space`) and
-  the test that all distance values are cuts of the completion by
-  cones (:func:`values_in_macneille`);
+* word-valued spaces over the distance values (:func:`distance_space`)
+  or their closure (:func:`zigzag_space`), and the test that all distance
+  values are cuts of the completion by cones (:func:`values_in_macneille`);
 * isometric embeddings: prefix cones embed each path graph into the
   value algebra (:func:`claim_zigzag_embedding`), and a digraph whose
   distances are cuts embeds into a finite product of path graphs
@@ -338,20 +338,20 @@ def values_in_macneille(g: Digraph, maxlen: int | None = None) -> bool | None:
 # ------------------------------------------------ the metric-space bridge
 
 
+def distance_space(g: Digraph, maxlen: int | None = None) -> VSpace:
+    """The word-valued space of a reflexive digraph over its distance
+    values, 0 and top, not closed; every distance must be complete."""
+    values = _complete_distances(g, maxlen)
+    bound = max(1, max(v.max_generator_len() for v in values.values()))
+    return VSpace.make(g.vertices, WordValueMonoid.over(values.values(), bound), values)
+
+
 def zigzag_space(
     g: Digraph, maxlen: int | None = None, carrier_cap: int = CARRIER_CAP
 ) -> VSpace:
-    """The word-valued metric space of a reflexive digraph.
-
-    All distances must be certified complete.  The value carrier is
-    the closure of the distance values with products bounded by the
-    longest generator present, so every carrier-quantified check
-    downstream is relative to that closed set.
-    """
-    values = _complete_distances(g, maxlen)
-    bound = max(1, max(v.max_generator_len() for v in values.values()))
-    monoid = WordValueMonoid.from_values(set(values.values()), bound, carrier_cap)
-    return VSpace.make(g.vertices, monoid, values)
+    """:func:`distance_space` over the closure of its values, products
+    bounded by the longest generator, for the checks over all values."""
+    return distance_space(g, maxlen).closed(carrier_cap)
 
 
 # ------------------------------------------------------ prefix embedding
@@ -691,8 +691,8 @@ def zigzag_fixed_point_demo(
     is the induced subgraph of the product of the given path graphs
     and the given retraction onto it is checked.  Direct route (no
     product given): the digraph's own space is checked hyperconvex
-    relative to its value carrier and bounded over the cut values.
-    Either way the solver then works on the digraph's space; with the
+    relative to its closed value carrier and bounded over the cut
+    values.  Either way the solver works on the distances alone; with the
     hypothesis verified, a solver refusal is an internal error, not a
     user error.
     """
@@ -700,7 +700,7 @@ def zigzag_fixed_point_demo(
         raise InputError(
             "the retract route needs both factor words and a retraction"
         )
-    space = zigzag_space(g, maxlen)
+    space = distance_space(g, maxlen)
     bounded: BoundedCert | None = None
     if factor_words is not None:
         violation = product_retract_violation(g, factor_words, retraction)
@@ -713,13 +713,14 @@ def zigzag_fixed_point_demo(
             raise InternalCheckError(
                 f"zigzag distances must satisfy the metric axioms: {witness}"
             )
-        ok, witness = space.is_hyperconvex()
+        closed = space.closed()
+        ok, witness = closed.is_hyperconvex()
         if not ok:
             raise HypothesisError(
                 "the digraph's space is not hyperconvex relative to its "
                 f"value carrier: {witness}"
             )
-        bounded = macneille_bounded(space)
+        bounded = macneille_bounded(closed)
         route = "direct"
     system = space.to_relsys()
     selfmaps = [SelfMap.make(dict(m), space.elements) for m in maps]

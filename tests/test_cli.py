@@ -15,13 +15,13 @@ import random
 import subprocess
 import sys
 import time
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 
 import relmetric
-from relmetric import cli, zigzag
+from relmetric import cli, vmetric, zigzag
 from relmetric.cli import main
 from relmetric.errors import InternalCheckError
 from relmetric.vmetric import VSpace
@@ -862,9 +862,10 @@ def test_cap_bounds_the_carrier_of_a_word_algebra_space_file(tmp_path, capsys):
     }
     path = write(tmp_path, "s.json", doc)
     refused = "value carrier exceeded 3 elements"
-    assert main(["check", "axioms", "--cap", "3", "--input", path]) == 3
+    assert main(["check", "hyperconvex", "--cap", "3", "--input", path]) == 3
     assert refused in capsys.readouterr().err
-    code, payload, cert = run_to_file(tmp_path, ["check", "axioms", "--input", path])
+    argv = ["check", "hyperconvex", "--input", path]
+    code, payload, cert = run_to_file(tmp_path, argv)
     assert code == 0 and payload["verdict"] is True
     code, report = verify(tmp_path, cert)
     assert code == 0 and report["verdict"] is True
@@ -1346,6 +1347,149 @@ def test_demo_cert_missing_a_witness_or_the_bound_is_rejected(tmp_path):
         assert "bounded" in vout["detail"]
 
 
+# ------------------------------------------------- the relational path
+
+
+def graph_doc(g) -> dict:
+    """A digraph document of a library ``Digraph``, loops included."""
+    return {"vertices": list(g.vertices), "arcs": [list(a) for a in sorted(g.arcs)]}
+
+
+def path_product(factor_words):
+    return zigzag.digraph_product(
+        [zigzag.zigzag_from_word(w).graph for w in factor_words]
+    )
+
+
+def run_and_verify(tmp_path, argv) -> dict:
+    """Run a command, which must exit 0, and verify its certificate."""
+    code, payload, cert = run_to_file(tmp_path, argv)
+    assert code == 0, argv
+    vcode, vout = verify(tmp_path, cert)
+    assert vcode == 0 and vout["verdict"] is True, vout
+    return payload
+
+
+@pytest.mark.parametrize("command", ["axioms", "normal", "fixpoint", "demo"])
+def test_relational_path_builds_no_carrier(tmp_path, monkeypatch, command):
+    """The axioms and the relational view read the distances alone, so
+    no value carrier is closed: the closure of the path +-+ exceeds
+    the default cap."""
+
+    def refuse(*args):
+        raise AssertionError("a value carrier was closed")
+
+    monkeypatch.setattr(vmetric, "_closed_carrier", refuse)
+    g = zigzag.zigzag_from_word("+-+").graph
+    constant = {v: "0" for v in g.vertices}
+    path = write(tmp_path, "g.json", graph_doc(g))
+    if command == "fixpoint":
+        maps = write(tmp_path, "m.json", constant)
+        argv = ["fixpoint", "--input", path, "--maps", maps]
+    elif command == "demo":
+        doc = {
+            "kind": "zigzag",
+            "graph": graph_doc(g),
+            "factor_words": ["+-+"],
+            "retraction": {v: v for v in g.vertices},
+            "maps": [constant],
+        }
+        argv = ["demo", "--input", write(tmp_path, "d.json", doc)]
+    else:
+        argv = ["check", command, "--input", path]
+    payload = run_and_verify(tmp_path, argv)
+    assert payload["verdict"] is True
+    if command in ("fixpoint", "demo"):
+        assert payload["fixed_points"] == ["0"]
+
+
+def test_relational_path_refuses_over_512_joins_of_distances(tmp_path, capsys):
+    """Twelve incomparable distance values have more than 512 joins, one
+    relation each.  The relational view refuses them at once, as the
+    closed carrier that holds them would, whatever ``--cap`` says."""
+    gens = iter(["".join(w) for w in product("+-", repeat=5)][::2])
+    els = ["a", "b", "c", "d"]
+    dist = {
+        f"{x},{y}": '[""]' if x == y else json.dumps([next(gens)])
+        for x in els
+        for y in els
+    }
+    doc = {"elements": els, "monoid": "word-algebra", "dist": dist}
+    path = write(tmp_path, "s.json", doc)
+    for cap in ([], ["--cap", "5000"]):
+        started = time.perf_counter()
+        assert main(["check", "normal", "--input", path, *cap]) == 3
+        assert time.perf_counter() - started < 1
+        assert "the distances have over 512 joins" in capsys.readouterr().err
+
+
+def test_relational_path_retract_demo_on_the_cube_of_paths(tmp_path):
+    """The retract route on the 64-vertex product of three paths +-+,
+    as its own retract, with the map that swaps the first two
+    coordinates; its fixed points are the vertices a|a|c."""
+    g = path_product(["+-+"] * 3)
+    swap = {}
+    for v in g.vertices:
+        a, b, c = v.split("|")
+        swap[v] = f"{b}|{a}|{c}"
+    doc = {
+        "kind": "zigzag",
+        "graph": graph_doc(g),
+        "factor_words": ["+-+"] * 3,
+        "retraction": {v: v for v in g.vertices},
+        "maps": [swap],
+    }
+    argv = ["demo", "--input", write(tmp_path, "d.json", doc)]
+    payload = run_and_verify(tmp_path, argv)
+    assert payload["route"] == "retract"
+    assert payload["fixed_points"] == sorted(v for v in g.vertices if swap[v] == v)
+    assert len(payload["fixed_points"]) == 16
+
+
+def test_relational_path_demo_on_coordinate_slices(tmp_path, capsys):
+    """Seeded coordinate-slice retracts of products of the paths +, +-
+    and +-+ with at most 16 vertices: the vertices that agree with a
+    fixed vertex off some free coordinates, retracted by overwriting
+    the other coordinates.  The retract route certifies each, and a
+    retraction with one value moved off the slice exits 2."""
+    rng = random.Random(26)
+    shapes = [
+        ws
+        for n in (2, 3)
+        for ws in product(["+", "+-", "+-+"], repeat=n)
+        if len(path_product(ws).vertices) <= 16
+    ]
+    for case in range(12):
+        words = list(rng.choice(shapes))
+        g = path_product(words)
+        free = set(rng.sample(range(len(words)), rng.randint(1, len(words) - 1)))
+        base = rng.choice(g.vertices).split("|")
+
+        def onto(v):
+            return "|".join(
+                c if i in free else base[i] for i, c in enumerate(v.split("|"))
+            )
+
+        retraction = {v: onto(v) for v in g.vertices}
+        sub = g.restrict(set(retraction.values()))
+        target = rng.choice(sub.vertices)
+        doc = {
+            "kind": "zigzag",
+            "graph": graph_doc(sub),
+            "factor_words": words,
+            "retraction": retraction,
+            "maps": [{v: v for v in sub.vertices}, {v: target for v in sub.vertices}],
+        }
+        argv = ["demo", "--input", write(tmp_path, f"d{case}.json", doc)]
+        payload = run_and_verify(tmp_path, argv)
+        assert payload["fixed_points"] == [target], (words, free, base)
+        outside = next(v for v in g.vertices if v not in sub._members)
+        moved = dict(retraction, **{rng.choice(g.vertices): outside})
+        write(tmp_path, f"d{case}.json", dict(doc, retraction=moved))
+        assert main(argv) == 2
+        assert "outside the retract" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- verify
 
 
@@ -1380,6 +1524,78 @@ def test_recomputed_space_certificate_tamper_detected(tmp_path, argv, key, value
     vcode, vout = verify(tmp_path, cert)
     assert vcode == 0 and vout["verdict"] is False
     assert key in vout["detail"]
+
+
+DIRECT_DEMO = {
+    "kind": "zigzag",
+    "graph": {"vertices": ["0", "1"], "arcs": [["0", "1"]], "add_loops": True},
+    "maps": [{"0": "0", "1": "1"}],
+}
+
+
+def witness_cert(tmp_path, kind: str) -> tuple[dict, str]:
+    """A verified certificate of a command that emits ``"verdict":
+    true`` with its witnesses: fixpoint, embed, gaps, holes, or a demo
+    by the direct, retract or fence route."""
+    if kind == "fixpoint":
+        maps = write(tmp_path, "m.json", {"0": "0", "1": "1", "2": "1"})
+        argv = ["fixpoint", "--input", write(tmp_path, "g.json", VEE_GRAPH)]
+        argv += ["--maps", maps]
+    elif kind == "embed":
+        argv = ["embed", "--input", write(tmp_path, "g.json", VEE_GRAPH)]
+    elif kind in ("gaps", "holes"):
+        argv = [kind, "--input", write(tmp_path, "p.json", VEE_POSET)]
+    else:
+        doc = {
+            "direct": DIRECT_DEMO,
+            "retract": _retract_demo(["+"]),
+            "fence": FENCE_VEE_DEMO,
+        }[kind]
+        argv = ["demo", "--input", write(tmp_path, "d.json", doc)]
+    code, payload, cert = run_to_file(tmp_path, argv)
+    assert code == 0
+    vcode, vout = verify(tmp_path, cert)
+    assert vcode == 0 and vout["verdict"] is True
+    return payload, cert
+
+
+def _every_coordinate_nine(payload):
+    return {v: [9] * len(c) for v, c in payload["coordinates"].items()}
+
+
+@pytest.mark.parametrize(
+    "kind, key, value, detail",
+    [
+        *[
+            (kind, "verdict", False, "'verdict': certificate has False")
+            for kind in ("fixpoint", "embed", "gaps", "holes")
+            + ("direct", "retract", "fence")
+        ],
+        ("fixpoint", "verdict", 1, "'verdict': certificate has 1"),
+        ("embed", "coordinates", _every_coordinate_nine, "coordinates.0"),
+        ("direct", "route", "retract", "'route': certificate has 'retract'"),
+        ("retract", "route", "direct", "'route': certificate has 'direct'"),
+        ("fence", "product_size", 99, "'product_size': certificate has 99"),
+        ("fixpoint", "fixed_points", ["1", "0"], "fixed points"),
+        ("direct", "fixed_points", ["1", "0"], "fixed points"),
+        ("fence", "fixed_points", ["v1|v0", "v0|v0"], "fixed points"),
+    ],
+)
+def test_verify_reads_every_compared_field(tmp_path, kind, key, value, detail):
+    payload, cert = witness_cert(tmp_path, kind)
+    payload[key] = value(payload) if callable(value) else value
+    Path(cert).write_text(json.dumps(payload))
+    vcode, vout = verify(tmp_path, cert)
+    assert vcode == 0 and vout["verdict"] is False
+    assert detail in vout["detail"]
+
+
+def test_verify_reads_boundedness_witnesses_as_words(tmp_path, capsys):
+    payload, cert = witness_cert(tmp_path, "direct")
+    payload["bounded"]["witnesses"][0][1] = "-x"
+    Path(cert).write_text(json.dumps(payload))
+    assert verify(tmp_path, cert)[0] == 2
+    assert "bounded.witnesses[0][1]: expected a word" in capsys.readouterr().err
 
 
 def test_verify_input_override(tmp_path):

@@ -10,7 +10,7 @@ against direct order computations on independently generated posets.
 from __future__ import annotations
 
 import random
-from itertools import islice, permutations, product
+from itertools import combinations, islice, permutations, product
 from typing import Iterable
 
 import pytest
@@ -50,6 +50,7 @@ from relmetric.vmetric import (
 from relmetric.zigzag import (
     Digraph,
     all_zigzag_distances,
+    distance_space,
     zigzag_from_word,
     zigzag_space,
 )
@@ -943,7 +944,10 @@ def carrier_relations(s: VSpace) -> dict[frozenset, list]:
 
 
 def test_relational_view_has_one_relation_per_distinct_pair_set():
-    spaces = [zigzag_space(g) for g in reflexive_three_vertex_digraphs()]
+    graphs = reflexive_three_vertex_digraphs()
+    spaces = [zigzag_space(g) for g in graphs]
+    for g, s in zip(graphs, spaces):
+        assert distance_space(g).to_relsys() == s.to_relsys()
     spaces += [
         v4_space_from_order([str(i) for i in range(4)], lt)
         for lt in all_strict_orders(4)
@@ -1597,19 +1601,50 @@ def test_word_hyperconvexity_and_holes_match_the_set_scans(small_zigzag_spaces):
 
 def test_a_thin_word_carrier_is_refused_where_a_lattice_is_needed():
     """The carrier of ``thin_word_space`` holds the distance values, 0
-    and top only; radii, hole preservation and the relational view
-    assume one closed under meet and join, so each refuses it, naming
-    a pair.  The canonical embedding needs no closure and still runs."""
+    and top only; radii and hole preservation assume one closed under
+    meet and join, so each refuses it, naming a pair.  The canonical
+    embedding and the relational view read only the distances and
+    still run: the view has one relation per join of distance values,
+    named by it."""
     s = thin_word_space(zigzag_from_word("++-").graph)
     for run in (
         lambda: s.radius(s.elements),
-        s.to_relsys,
         VMap.make(s, s, {x: x for x in s.elements}).is_hole_preserving,
     ):
         with pytest.raises(StructureError, match=r"\] and \[.*leaves the carrier"):
             run()
     assert "_escape" in vars(s.monoid)  # searched once, kept
     canonical_embedding(s)
+    values = set(s.dist.values())
+    joins = {
+        W.join_all(c) for k in range(len(values) + 1) for c in combinations(values, k)
+    }
+    assert dict(s.to_relsys().relations) == {
+        s.monoid.name(u): frozenset(p for p, d in s.dist.items() if d.leq(u))
+        for u in joins
+    }
+
+
+def test_a_distance_carrier_closes_to_the_memoised_carrier():
+    """``over`` holds the values with 0 and top, unclosed; ``closed``
+    gives the carrier that ``from_values`` keeps for the same seeds,
+    refuses over its cap, and keeps a closed carrier or a table
+    monoid."""
+    values, bound = path_seeds("+-")
+    thin = WordValueMonoid.over(values, bound)
+    assert set(thin.carrier) == values | {W.ZERO, W.TOP} and thin.masks is None
+    graph = zigzag_from_word("+-").graph
+    space = distance_space(graph)
+    assert space.monoid == thin
+    closed = space.closed()
+    assert closed.monoid is WordValueMonoid.from_values(values, bound)
+    assert closed.monoid is zigzag_space(graph).monoid
+    assert closed.dist == space.dist and closed.closed() is closed
+    with pytest.raises(CapError, match="exceeded 3 elements"):
+        space.closed(3)
+    order = v4_space_from_order(["a", "b"], frozenset({("a", "b")}))
+    assert order.closed() is order
+    assert WordValueMonoid.over(values).oplus_length_bound == 2 * bound == 4
 
 
 def test_a_closed_carrier_given_directly_is_accepted():

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_reflexive_digraph
-from relmetric import words
+from relmetric import vmetric, words
 from relmetric.errors import (
     CapError,
     HypothesisError,
@@ -30,6 +30,7 @@ from relmetric.zigzag import (
     claim_zigzag_embedding,
     default_maxlen,
     digraph_product,
+    distance_space,
     embed_into_zigzag_product,
     macneille_bounded,
     values_in_macneille,
@@ -448,6 +449,29 @@ def test_demo_retract_route():
     assert demo.route == "retract"
     assert demo.fixed_points == ("0|0",)
     assert demo.bounded is None
+
+
+def test_relational_path_reads_the_distances_alone(monkeypatch):
+    """The axioms, normal structure and the retract route of the demo
+    need no closed carrier, though the closure of the path +-+ exceeds
+    the default cap; the direct route closes one for hyperconvexity."""
+
+    def refuse(*args):
+        raise AssertionError("a value carrier was closed")
+
+    monkeypatch.setattr(vmetric, "_closed_carrier", refuse)
+    for factor_words in (["+-+"], ["+-", "+-+"]):
+        g = digraph_product([zigzag_from_word(w).graph for w in factor_words])
+        space = distance_space(g)
+        assert space.check_axioms() == (True, None)
+        assert space.to_relsys().has_normal_structure()[0]
+        identity = {v: v for v in g.vertices}
+        demo = zigzag_fixed_point_demo(
+            g, [identity], factor_words=factor_words, retraction=identity
+        )
+        assert demo.route == "retract" and demo.fixed_points == g.vertices
+    with pytest.raises(AssertionError, match="closed"):
+        zigzag_fixed_point_demo(g, [identity])
 
 
 def test_demo_retract_route_validation():
