@@ -23,7 +23,8 @@ searched again, the gaps and holes are compared with the command's
 enumeration, and a direct-route demo's boundedness witnesses with the
 cut values of the closed carrier.  The other fields are compared with
 what the command emits: the verdict, a demo's route and product size,
-the sorted fixed points and an embedding's coordinates.
+the sorted fixed points and an embedding's coordinates.  Every compared
+field must be the same JSON value, of the same type at every level.
 
 Exit codes: 0 when a verdict was computed (negative verdicts
 included), 2 for input errors, 3 for exceeded caps, 4 for violated
@@ -65,7 +66,6 @@ from .poset import (
 )
 from .relsys import RelSys, SelfMap, retraction_violation
 from .vmetric import (
-    CARRIER_CAP,
     RadiusMap,
     TableMonoid,
     VSpace,
@@ -424,11 +424,6 @@ def _emit(payload: dict, args) -> None:
 # ----------------------------------------------------------------- check
 
 
-def _closed_space(inputs: _Inputs, args) -> VSpace:
-    """For the checks that quantify over values: closed under ``--cap``."""
-    return inputs.space.closed(CARRIER_CAP if args.cap is None else args.cap)
-
-
 def _run_check(inputs: _Inputs, args):
     prop = args.property
     payload = _base_payload("check", args, inputs)
@@ -438,16 +433,16 @@ def _run_check(inputs: _Inputs, args):
         payload["verdict"] = ok
         payload["witness"] = _jsonify(witness)
     elif prop == "hyperconvex":
-        ok, witness = _closed_space(inputs, args).is_hyperconvex()
+        ok, witness = inputs.space.is_hyperconvex()
         payload["verdict"] = ok
         payload["witness"] = _jsonify(witness)
     elif prop == "bounded":
-        space = _closed_space(inputs, args)
+        space = inputs.space
         payload["verdict"] = space.is_bounded()
         payload["diameter"] = _serialize_value(space.monoid, space.diameter())
     elif prop == "macneille-bounded":
         try:
-            cert = macneille_bounded(_closed_space(inputs, args))
+            cert = macneille_bounded(inputs.space)
         except HypothesisError as exc:
             payload["verdict"] = False
             payload["reason"] = str(exc)
@@ -658,13 +653,25 @@ def _expect(condition: bool, where: str) -> None:
         raise _Mismatch(where)
 
 
+def _same(got: Any, fresh: Any) -> bool:
+    """Equal as JSON values, of the same JSON type at every level (``[1]``
+    is not ``[true]``); ``fresh`` may hold tuples for arrays."""
+    if isinstance(fresh, (list, tuple)):
+        return type(got) is list and len(got) == len(fresh) and all(
+            map(_same, got, fresh)
+        )
+    if isinstance(fresh, dict):
+        return type(got) is dict and got.keys() == fresh.keys() and all(
+            _same(got[k], v) for k, v in fresh.items()
+        )
+    return type(got) is type(fresh) and got == fresh
+
+
 def _expect_field(cert: dict, key: str, fresh: Any) -> None:
-    """The certificate's field ``key`` is what the command gives, of the
-    same JSON type (``1`` is not ``true``)."""
+    """The certificate's field ``key`` is what the command gives."""
     got = _cert_field(cert, key)
     _expect(
-        type(got) is type(fresh) and got == fresh,
-        f"{key!r}: certificate has {got!r}, input gives {fresh!r}",
+        _same(got, fresh), f"{key!r}: certificate has {got!r}, input gives {fresh!r}"
     )
 
 
@@ -679,7 +686,8 @@ def _cert_field(cert: dict, key: str, where: str = "", check=None) -> Any:
 
 
 def _args_from_cert(cert: dict) -> argparse.Namespace:
-    options = _object(cert.get("options") or {}, "options")
+    options = cert.get("options")
+    options = {} if options is None else _object(options, "options")
     for key in ("cap", "maxlen"):
         if options.get(key) is not None and type(options[key]) is not int:
             raise InputError(f"options.{key}: expected an integer or null")
@@ -702,7 +710,7 @@ def _recompute(cert: dict, inputs: _Inputs, args) -> None:
     for key in sorted(set(fresh) | set(cert)):
         if key in ("command", "input", "options"):
             continue
-        if fresh.get(key) != cert.get(key):
+        if not _same(cert.get(key), fresh.get(key)):
             raise _Mismatch(
                 f"{key!r}: certificate has {cert.get(key)!r}, input gives "
                 f"{fresh.get(key)!r}"
@@ -752,7 +760,7 @@ def _verify_fixed_set(system: RelSys, mappings: list, cert: dict) -> None:
     except InputError as exc:
         raise _Mismatch(str(exc)) from None
     _expect(
-        fixed == sorted(expected),
+        _same(fixed, sorted(expected)),
         f"fixed points: certificate has {fixed}, the maps fix {sorted(expected)}",
     )
     _expect(olr.ok, f"retract table: no valid anchor exists for {olr.violator!r}")
@@ -760,7 +768,7 @@ def _verify_fixed_set(system: RelSys, mappings: list, cert: dict) -> None:
     fresh = olr.table_dict
     for x in sorted(set(table) | set(fresh)):
         _expect(
-            table.get(x) == fresh.get(x),
+            _same(table.get(x), fresh.get(x)),
             f"retract table: anchor for {x!r} should be {fresh.get(x)!r}, "
             f"certificate has {table.get(x)!r}",
         )
@@ -801,7 +809,7 @@ def _verify_embed(cert: dict, inputs: _Inputs, args) -> None:
     fresh = {v: [f.as_dict[v] for f in factors] for v in g.vertices}
     for v in sorted(set(coordinates) | set(fresh)):
         _expect(
-            coordinates.get(v) == fresh.get(v),
+            _same(coordinates.get(v), fresh.get(v)),
             f"coordinates.{v}: certificate has {coordinates.get(v)!r}, the "
             f"factor images give {fresh.get(v)!r}",
         )
@@ -819,7 +827,8 @@ def _expect_list(listed: list, fresh: list, where: str) -> None:
     """The listed entries are exactly the fresh ones, in order."""
     for i, (got, want) in enumerate(zip(listed, fresh)):
         _expect(
-            got == want, f"{where}[{i}]: certificate has {got!r}, input gives {want!r}"
+            _same(got, want),
+            f"{where}[{i}]: certificate has {got!r}, input gives {want!r}",
         )
     _expect(
         len(listed) == len(fresh),
@@ -829,8 +838,9 @@ def _expect_list(listed: list, fresh: list, where: str) -> None:
 
 def _verify_gaps(cert: dict, inputs: _Inputs, args) -> None:
     # here and in _verify_holes, the listed entries are compared with the
-    # command's own enumeration, and checked one by one only to word a
-    # mismatch; a message is formatted only when its check fails
+    # command's own enumeration (by ==, exact on entries of names alone),
+    # and checked one by one only to word a mismatch; a message is
+    # formatted only when its check fails
     _expect_field(cert, "verdict", True)
     p = inputs.poset
     listed = _cert_field(cert, "gaps", check=_list)
@@ -839,7 +849,7 @@ def _verify_gaps(cert: dict, inputs: _Inputs, args) -> None:
         _check_gap_entries(p, listed)
         _expect_list(listed, fresh, "gaps")
     _expect(
-        _cert_field(cert, "complete_lattice") == (not fresh),
+        _same(_cert_field(cert, "complete_lattice"), not fresh),
         f"complete_lattice: certificate has {cert.get('complete_lattice')!r}, "
         f"input gives {not fresh!r}",
     )
@@ -888,7 +898,7 @@ def _check_hole_entries(p: Poset, listed: list) -> None:
         if not space.is_hole(radii):
             raise _Mismatch(f"the radius map for ({lower}, {upper}) is not a hole")
         fresh = _gap_radii(p, lower, upper)
-        if radii.as_dict != fresh:
+        if not _same(radii.as_dict, fresh):
             raise _Mismatch(
                 f"{where}.radii: certificate has {radii.as_dict}, the gap "
                 f"({lower}, {upper}) gives {fresh}"
@@ -955,8 +965,7 @@ def _verify_demo(cert: dict, inputs: _Inputs, args) -> None:
                 value.leq(diameter),
                 f"bounded value {name} is not below the diameter",
             )
-        monoid = space.closed().monoid
-        cuts = map(monoid.name, bounded_cuts(monoid, diameter))
+        cuts = map(space.monoid.name, bounded_cuts(space, diameter))
         _expect_list(sorted(witnessed), sorted(cuts), "bounded witnesses")
 
 
@@ -1030,58 +1039,61 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Analyses and certificates for monoid-valued metric "
         "spaces, posets, relational systems, and zigzag digraphs.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    # verify takes the input and output flags alone; the other commands
+    # take the analysis flags too
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument(
         "--input",
         "--graph",
         dest="input",
         help="path to the JSON input document",
     )
-    common.add_argument(
+    files.add_argument("--out", help="write the certificate to this file")
+    analysis = argparse.ArgumentParser(add_help=False)
+    analysis.add_argument(
         "--monoid",
         help="override the monoid id of a space file (V4 or word-algebra)",
     )
-    common.add_argument(
+    analysis.add_argument(
         "--maxlen", type=int, help="word-length budget for zigzag distances"
     )
-    common.add_argument(
+    analysis.add_argument(
         "--cap", type=int, help="override the command's primary size cap"
     )
-    common.add_argument(
+    analysis.add_argument(
         "--seed",
         type=int,
         help="recorded in the certificate for seeded reproducibility",
     )
-    common.add_argument("--out", help="write the certificate to this file")
-    common.add_argument("--dot", help="write a DOT drawing to this file")
+    analysis.add_argument("--dot", help="write a DOT drawing to this file")
     sub = parser.add_subparsers(dest="command", required=True)
     check = sub.add_parser(
-        "check", parents=[common], help="check a property of the input"
+        "check", parents=[files, analysis], help="check a property of the input"
     )
     check.add_argument("property", help=", ".join(CHECK_PROPERTIES))
     distance = sub.add_parser(
-        "distance", parents=[common], help="distance between two points"
+        "distance", parents=[files, analysis], help="distance between two points"
     )
     distance.add_argument("--from", dest="src", help="source point")
     distance.add_argument("--to", dest="dst", help="target point")
     fixpoint = sub.add_parser(
-        "fixpoint", parents=[common], help="common fixed points of maps"
+        "fixpoint", parents=[files, analysis], help="common fixed points of maps"
     )
     fixpoint.add_argument(
         "--maps", nargs="+", default=[], help="JSON self-map files"
     )
     sub.add_parser(
-        "embed", parents=[common], help="isometric embedding certificate"
+        "embed", parents=[files, analysis], help="isometric embedding certificate"
     )
-    sub.add_parser("gaps", parents=[common], help="gaps of a poset")
+    sub.add_parser("gaps", parents=[files, analysis], help="gaps of a poset")
     sub.add_parser(
-        "holes", parents=[common], help="holes read off the gaps of a poset"
+        "holes", parents=[files, analysis], help="holes read off the gaps of a poset"
     )
     sub.add_parser(
-        "demo", parents=[common], help="verified fixed-point demonstrations"
+        "demo", parents=[files, analysis], help="verified fixed-point demonstrations"
     )
     verify = sub.add_parser(
-        "verify", parents=[common], help="re-check a certificate's witnesses"
+        "verify", parents=[files], help="re-check a certificate's witnesses"
     )
     verify.add_argument("--cert", required=True, help="certificate file")
     return parser
@@ -1095,19 +1107,19 @@ def main(argv=None) -> int:
         return 2
     try:
         if args.command == "verify":
-            payload, drawing = _run_verify(args), None
+            payload = _run_verify(args)
         else:
             inputs = _Inputs(args.input, args)
             payload, drawing = _HANDLERS[args.command](inputs, args)
-        if args.dot:
-            if drawing is None:
-                raise InputError(
-                    "--dot is not available for this command and input"
-                )
-            try:
-                Path(args.dot).write_text(drawing.to_dot())
-            except OSError as exc:
-                raise InputError(f"cannot write {args.dot}: {exc}") from None
+            if args.dot:
+                if drawing is None:
+                    raise InputError(
+                        "--dot is not available for this command and input"
+                    )
+                try:
+                    Path(args.dot).write_text(drawing.to_dot())
+                except OSError as exc:
+                    raise InputError(f"cannot write {args.dot}: {exc}") from None
         _emit(payload, args)
     except RelmetricError as exc:
         print(f"error: {exc}", file=sys.stderr)

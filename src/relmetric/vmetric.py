@@ -21,11 +21,12 @@ Provided here:
 * holes (radius maps whose balls miss a common point), hole images
   under maps, and the hole-preservation test.
 
-Checks that quantify over values range over the monoid's finite
-carrier, closed by :meth:`VSpace.closed`, and word-valued verdicts are
-relative to that closed set; the axioms and the relational view read
-the distances alone, and hole preservation and the radius are read off
-them, no enumeration.
+Hyperconvexity and boundedness quantify over values: they range over
+the monoid's finite carrier, which a space closes itself
+(:meth:`VSpace.closed`) whatever carrier it was built over, so
+word-valued verdicts are relative to that closed set.  The axioms, the
+radius and the relational view read the distances alone; hole
+preservation closes the carrier only to round up a value outside it.
 
 Representation: a monoid keeps its order as one mask per carrier value,
 the values above it.  A table monoid keeps the masks that ``make``
@@ -44,9 +45,9 @@ length bound and the cap; a refusal is kept as the text of its
 the same key.  A space keeps one table of balls, the mask of B(x, v) for
 every element x and carrier index of v, where bit j stands for the j-th
 element in sorted order, built from the order masks.  Hyperconvexity
-(ball classes, the disjointness test and the clique search) and holes
-read that table; a radius outside the carrier is scanned with the
-monoid's order.
+(ball classes, the disjointness test and the clique search) reads the
+table of the closed space, and holes the table of the space itself; a
+radius outside its carrier is scanned with the monoid's order.
 """
 
 from __future__ import annotations
@@ -153,9 +154,6 @@ class ValueMonoid:
 
     def is_accessible(self, v) -> bool:
         return self.accessibility_value_witness(v) is not None
-
-    def check_lattice(self) -> None:
-        """Radii and holes need a lattice; ``make`` checks it."""
 
     def inaccessible_values(self) -> tuple:
         return tuple(v for v in self.carrier if not self.is_accessible(v))
@@ -611,23 +609,6 @@ class WordValueMonoid(ValueMonoid):
             for _, u in self.masks
         )
 
-    def check_lattice(self) -> None:
-        """Raise a ``StructureError`` naming a pair whose meet or join
-        leaves a carrier given directly; ``from_values`` closes its own."""
-        if self._escape:
-            op, a, b = self._escape
-            raise StructureError(f"the {op} of {a} and {b} leaves the carrier")
-
-    @cached_property
-    def _escape(self) -> tuple:
-        """The first (operation, a, b) that leaves the carrier, or ()."""
-        if self.masks is None:
-            for a, b in combinations(self.carrier, 2):
-                for op in ("meet", "join"):
-                    if getattr(a, op)(b) not in self._index:
-                        return op, self.name(a), self.name(b)
-        return ()
-
     # ------------------------------------------------------------ primitives
 
     @property
@@ -850,13 +831,12 @@ class VSpace:
         return self.monoid.join_all(self.d(x, y) for x in a for y in a)
 
     def radius(self, subset):
-        """Meet of the carrier values v for which some point x of the
-        subset covers it with B(x, v).  The least such v for one x is the
-        join of d(x, y) over the subset, a carrier value as the carrier
-        is closed under joins, so this is the meet of those joins."""
+        """Meet of the values v of the closed carrier for which some point
+        x of the subset covers it with B(x, v).  The least such v for one
+        x is the join of d(x, y) over the subset, which the closed carrier
+        holds, so this is the meet of those joins; no carrier is read."""
         a = self._check_subset(subset)
         m = self.monoid
-        m.check_lattice()
         return m.meet_all(m.join_all(self.d(x, y) for y in a) for x in a)
 
     def is_equally_centered(self, subset) -> bool:
@@ -896,8 +876,8 @@ class VSpace:
         return RelSys(self.elements, tuple(sorted(rels)))
 
     def closed(self, cap: int = CARRIER_CAP) -> "VSpace":
-        """This space over its word values closed under ``cap``, for the
-        checks that quantify over values; a table or closed carrier stays."""
+        """This space over its word values closed under ``cap``, as the
+        checks over values close it; a table or closed carrier stays."""
         m = self.monoid
         if not isinstance(m, WordValueMonoid) or m.masks is not None:
             return self
@@ -908,7 +888,7 @@ class VSpace:
 
     def is_hyperconvex(self) -> tuple[bool, tuple | None]:
         """Convexity plus the two-out-of-many ball intersection
-        property, with radii drawn from the carrier.
+        property, with radii drawn from the closed carrier.
 
         Convexity: whenever ``d(x,y) <= r (+) involute(s)`` the balls
         B(x,r) and B(y,s) must meet.  Each ordered pair (x, y) is first
@@ -925,8 +905,9 @@ class VSpace:
         cliques of the intersection graph on distinct balls, since
         subfamilies only have larger intersections.
         """
-        m = self.monoid
-        balls = self._balls
+        space = self.closed()
+        m = space.monoid
+        balls = space._balls
         up = m._up
         # a mask of carrier indices -> its maximal values and their involutes
         maxima: dict[int, tuple[list, list]] = {}
@@ -986,9 +967,9 @@ class VSpace:
         return True, None
 
     def is_bounded(self) -> bool:
-        """0 must be the only carrier value below the diameter without
-        an accessibility witness."""
-        m = self.monoid
+        """0 must be the only value of the closed carrier below the
+        diameter without an accessibility witness."""
+        m = self.closed().monoid
         diam = self.diameter()
         return all(
             v == m.zero or not m.leq(v, diam) or m.is_accessible(v)
@@ -1146,8 +1127,8 @@ class VMap:
         )
 
     def is_hole_preserving(self) -> bool:
-        """Every hole of the source, a radius map over its carrier, must
-        map to a hole of the target under :func:`hole_image`.
+        """Every hole of the source, a radius map over its closed carrier,
+        must map to a hole of the target under :func:`hole_image`.
 
         * The image of a hole h is not a hole exactly when some target
           point t lies in every image ball.  The image radius at y is the
@@ -1158,7 +1139,8 @@ class VMap:
           ``x -> d(f(x), t)`` iff the least carrier-valued map above it
           is a hole.  That map is ``d(f(x), t)`` itself where the value
           is in the source carrier, always so when both spaces share a
-          monoid; elsewhere it is the meet of the carrier values above.
+          monoid; elsewhere it is the meet of the values above it in the
+          closed source carrier.
         * So f preserves holes iff that map is a source hole for no
           target point t: |T| hole tests, not |carrier|^|S| hole images.
 
@@ -1170,11 +1152,11 @@ class VMap:
                 "hole preservation is defined for non-expansive maps only"
             )
         m = self.source.monoid
-        m.check_lattice()
         for t in self.target.elements:
             radii = {x: self.target.d(y, t) for x, y in self.pairs}
             for x, v in radii.items():
                 if not m.contains(v):
+                    m = self.source.closed().monoid
                     radii[x] = m.meet_all(c for c in m.carrier if m.leq(v, c))
             if self.source.is_hole(RadiusMap(tuple(radii.items()))):
                 return False

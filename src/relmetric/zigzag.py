@@ -340,7 +340,8 @@ def values_in_macneille(g: Digraph, maxlen: int | None = None) -> bool | None:
 
 def distance_space(g: Digraph, maxlen: int | None = None) -> VSpace:
     """The word-valued space of a reflexive digraph over its distance
-    values, 0 and top, not closed; every distance must be complete."""
+    values, 0 and top, not closed; every distance must be complete.  The
+    checks that quantify over values close it themselves."""
     values = _complete_distances(g, maxlen)
     bound = max(1, max(v.max_generator_len() for v in values.values()))
     return VSpace.make(g.vertices, WordValueMonoid.over(values.values(), bound), values)
@@ -350,7 +351,7 @@ def zigzag_space(
     g: Digraph, maxlen: int | None = None, carrier_cap: int = CARRIER_CAP
 ) -> VSpace:
     """:func:`distance_space` over the closure of its values, products
-    bounded by the longest generator, for the checks over all values."""
+    bounded by the longest generator and refused over ``carrier_cap``."""
     return distance_space(g, maxlen).closed(carrier_cap)
 
 
@@ -588,12 +589,13 @@ class BoundedCert:
     witnesses: tuple[tuple[str, str], ...]
 
 
-def bounded_cuts(monoid: WordValueMonoid, diameter: UpSet) -> list[UpSet]:
-    """The values boundedness quantifies over: the nonzero carrier values
-    at or below the diameter that are cuts of the completion by cones."""
+def bounded_cuts(space: VSpace, diameter: UpSet) -> list[UpSet]:
+    """The values boundedness quantifies over: the nonzero values of the
+    closed carrier at or below the diameter that are cuts of the
+    completion by cones."""
     return [
         v
-        for v in monoid.carrier
+        for v in space.closed().monoid.carrier
         if not v.is_zero and v.leq(diameter) and words.in_macneille(v)
     ]
 
@@ -601,11 +603,11 @@ def bounded_cuts(monoid: WordValueMonoid, diameter: UpSet) -> list[UpSet]:
 def macneille_bounded(space: VSpace) -> BoundedCert:
     """Check boundedness of a word-valued space over the cut values.
 
-    Quantifies over the carrier values that are cuts of the completion
-    by cones: each nonzero cut at or below the diameter must admit a
-    word w outside it with w followed by its involute inside it (the
-    principal witness of accessibility).  Values of the carrier that
-    are not cuts lie outside the completion and are not quantified.
+    Quantifies over :func:`bounded_cuts`, the values of the closed
+    carrier that are cuts of the completion by cones: each nonzero cut
+    at or below the diameter must admit a word w outside it with w
+    followed by its involute inside it (the principal witness of
+    accessibility).  Other values lie outside the completion.
     """
     monoid = space.monoid
     if not isinstance(monoid, WordValueMonoid):
@@ -619,7 +621,7 @@ def macneille_bounded(space: VSpace) -> BoundedCert:
         raise HypothesisError("the diameter is not a cut of the completion")
     failures: list[str] = []
     witnesses: list[tuple[str, str]] = []
-    for v in bounded_cuts(monoid, diameter):
+    for v in bounded_cuts(space, diameter):
         w = words.principal_accessibility_witness(v)
         if w is None:
             failures.append(monoid.name(v))
@@ -692,9 +694,9 @@ def zigzag_fixed_point_demo(
     and the given retraction onto it is checked.  Direct route (no
     product given): the digraph's own space is checked hyperconvex
     relative to its closed value carrier and bounded over the cut
-    values.  Either way the solver works on the distances alone; with the
-    hypothesis verified, a solver refusal is an internal error, not a
-    user error.
+    values; both checks close the carrier themselves.  Either way the
+    solver works on the distances alone; with the hypothesis verified, a
+    solver refusal is an internal error, not a user error.
     """
     if (factor_words is None) != (retraction is None):
         raise InputError(
@@ -713,14 +715,13 @@ def zigzag_fixed_point_demo(
             raise InternalCheckError(
                 f"zigzag distances must satisfy the metric axioms: {witness}"
             )
-        closed = space.closed()
-        ok, witness = closed.is_hyperconvex()
+        ok, witness = space.is_hyperconvex()
         if not ok:
             raise HypothesisError(
                 "the digraph's space is not hyperconvex relative to its "
                 f"value carrier: {witness}"
             )
-        bounded = macneille_bounded(closed)
+        bounded = macneille_bounded(space)
         route = "direct"
     system = space.to_relsys()
     selfmaps = [SelfMap.make(dict(m), space.elements) for m in maps]

@@ -854,24 +854,41 @@ def test_cap_does_not_bound_normal_structure_of_a_relsys(tmp_path):
     assert code == 0 and payload["verdict"] is True
 
 
-def test_cap_bounds_the_carrier_of_a_word_algebra_space_file(tmp_path, capsys):
-    doc = {
-        "elements": ["a", "b"],
-        "monoid": "word-algebra",
-        "dist": {"a,a": '[""]', "b,b": '[""]', "a,b": '["+"]', "b,a": '["-"]'},
-    }
-    path = write(tmp_path, "s.json", doc)
-    refused = "value carrier exceeded 3 elements"
-    assert main(["check", "hyperconvex", "--cap", "3", "--input", path]) == 3
-    assert refused in capsys.readouterr().err
+WORD_ALGEBRA_SPACE = {
+    "elements": ["a", "b"],
+    "monoid": "word-algebra",
+    "dist": {"a,a": '[""]', "b,b": '[""]', "a,b": '["+"]', "b,a": '["-"]'},
+}
+
+
+def test_cap_bounds_the_carrier_of_a_word_algebra_space_file(tmp_path):
+    """``--cap`` no longer bounds the carrier: the checks over all values
+    close it under the fixed 512 values, so ``--cap 3``, and a
+    certificate that records it, answer and verify."""
+    path = write(tmp_path, "s.json", WORD_ALGEBRA_SPACE)
+    argv = ["check", "hyperconvex", "--cap", "3", "--input", path]
+    code, payload, _ = run_to_file(tmp_path, argv, "capped.json")
+    assert code == 0 and payload["verdict"] is True
     argv = ["check", "hyperconvex", "--input", path]
     code, payload, cert = run_to_file(tmp_path, argv)
     assert code == 0 and payload["verdict"] is True
     code, report = verify(tmp_path, cert)
     assert code == 0 and report["verdict"] is True
     payload["options"]["cap"] = 3
-    assert verify(tmp_path, write(tmp_path, "edited.json", payload))[0] == 3
-    assert refused in capsys.readouterr().err
+    code, report = verify(tmp_path, write(tmp_path, "edited.json", payload))
+    assert code == 0 and report["verdict"] is True
+
+
+@pytest.mark.parametrize("prop", ["hyperconvex", "bounded", "macneille-bounded"])
+def test_cap_leaves_the_carrier_of_the_checks_over_values(tmp_path, prop):
+    path = write(tmp_path, "s.json", WORD_ALGEBRA_SPACE)
+    argv = ["check", prop, "--input", path]
+    code, payload, plain = run_to_file(tmp_path, argv, "plain.json")
+    assert code == 0
+    code, capped, cert = run_to_file(tmp_path, argv + ["--cap", "3"], "capped.json")
+    assert code == 0 and capped["options"]["cap"] == 3
+    text = Path(cert).read_text().replace('"cap": 3,', '"cap": null,')
+    assert text == Path(plain).read_text()
 
 
 @pytest.mark.parametrize("tamper", ["anchor", "drop"])
@@ -1025,6 +1042,14 @@ def _maxlen_as_string(payload):
     payload["options"]["maxlen"] = "4"
 
 
+def _options_as_list(payload):
+    payload["options"] = []
+
+
+def _options_as_false(payload):
+    payload["options"] = False
+
+
 EMBED = ["embed"]
 DISTANCE = ["distance", "--from", "0", "--to", "2"]
 
@@ -1040,6 +1065,8 @@ DISTANCE = ["distance", "--from", "0", "--to", "2"]
         (DISTANCE, REFLEXIVE_VEE, _endpoint_as_list, "from: expected a name"),
         (DISTANCE, REFLEXIVE_VEE, _input_as_list, "input: expected a name"),
         (["check", "axioms"], REFLEXIVE_VEE, _maxlen_as_string, "options.maxlen:"),
+        (["check", "axioms"], REFLEXIVE_VEE, _options_as_list, "options: expected"),
+        (["check", "axioms"], REFLEXIVE_VEE, _options_as_false, "options: expected"),
     ],
     ids=[
         "distances-list",
@@ -1050,6 +1077,8 @@ DISTANCE = ["distance", "--from", "0", "--to", "2"]
         "endpoint-list",
         "input-list",
         "maxlen-string",
+        "options-list",
+        "options-false",
     ],
 )
 def test_malformed_certificate_names_its_json_path(
@@ -1563,6 +1592,14 @@ def _every_coordinate_nine(payload):
     return {v: [9] * len(c) for v, c in payload["coordinates"].items()}
 
 
+def _coordinates_as_booleans(payload):
+    """Each coordinate 0 or 1 written as false or true."""
+    return {
+        v: [{0: False, 1: True}.get(j, j) for j in c]
+        for v, c in payload["coordinates"].items()
+    }
+
+
 @pytest.mark.parametrize(
     "kind, key, value, detail",
     [
@@ -1579,6 +1616,8 @@ def _every_coordinate_nine(payload):
         ("fixpoint", "fixed_points", ["1", "0"], "fixed points"),
         ("direct", "fixed_points", ["1", "0"], "fixed points"),
         ("fence", "fixed_points", ["v1|v0", "v0|v0"], "fixed points"),
+        ("gaps", "complete_lattice", 0, "complete_lattice: certificate has 0"),
+        ("embed", "coordinates", _coordinates_as_booleans, "coordinates.0"),
     ],
 )
 def test_verify_reads_every_compared_field(tmp_path, kind, key, value, detail):
@@ -1588,6 +1627,41 @@ def test_verify_reads_every_compared_field(tmp_path, kind, key, value, detail):
     vcode, vout = verify(tmp_path, cert)
     assert vcode == 0 and vout["verdict"] is False
     assert detail in vout["detail"]
+
+
+@pytest.mark.parametrize(
+    "argv, doc, key, value",
+    [
+        (["check", "lattice"], VEE_POSET, "verdict", 0),
+        (["check", "macneille"], VEE_GRAPH, "verdict", 1),
+        (DISTANCE, VEE_GRAPH, "complete", 1),
+    ],
+    ids=["lattice-0", "macneille-1", "complete-1"],
+)
+def test_verify_reads_every_recomputed_field(tmp_path, argv, doc, key, value):
+    """A recomputed field equals the fresh one as JSON: 0 is not false."""
+    path = write(tmp_path, "in.json", doc)
+    code, payload, cert = run_to_file(tmp_path, argv + ["--input", path])
+    assert code == 0 and payload[key] == value and payload[key] is not value
+    payload[key] = value
+    Path(cert).write_text(json.dumps(payload))
+    vcode, vout = verify(tmp_path, cert)
+    assert vcode == 0 and vout["verdict"] is False
+    assert f"{key!r}: certificate has {value}" in vout["detail"]
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [["--maxlen", "1"], ["--cap", "1"], ["--monoid", "V4"], ["--seed", "3"]],
+    ids=["maxlen", "cap", "monoid", "seed"],
+)
+def test_verify_takes_only_the_flags_it_reads(tmp_path, capsys, flag):
+    path = write(tmp_path, "g.json", VEE_GRAPH)
+    _, _, cert = run_to_file(tmp_path, DISTANCE + ["--input", path])
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", "--cert", cert] + flag)
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_verify_reads_boundedness_witnesses_as_words(tmp_path, capsys):

@@ -10,6 +10,7 @@ against direct order computations on independently generated posets.
 from __future__ import annotations
 
 import random
+from functools import reduce
 from itertools import combinations, islice, permutations, product
 from typing import Iterable
 
@@ -51,6 +52,7 @@ from relmetric.zigzag import (
     Digraph,
     all_zigzag_distances,
     distance_space,
+    macneille_bounded,
     zigzag_from_word,
     zigzag_space,
 )
@@ -1601,19 +1603,15 @@ def test_word_hyperconvexity_and_holes_match_the_set_scans(small_zigzag_spaces):
 
 def test_a_thin_word_carrier_is_refused_where_a_lattice_is_needed():
     """The carrier of ``thin_word_space`` holds the distance values, 0
-    and top only; radii and hole preservation assume one closed under
-    meet and join, so each refuses it, naming a pair.  The canonical
-    embedding and the relational view read only the distances and
-    still run: the view has one relation per join of distance values,
-    named by it."""
+    and top only, and is not closed under meet and join.  Nothing
+    refuses it: the radius and the hole preservation of a self-map read
+    the distances alone, and so do the canonical embedding and the
+    relational view, which has one relation per join of distance
+    values, named by it."""
     s = thin_word_space(zigzag_from_word("++-").graph)
-    for run in (
-        lambda: s.radius(s.elements),
-        VMap.make(s, s, {x: x for x in s.elements}).is_hole_preserving,
-    ):
-        with pytest.raises(StructureError, match=r"\] and \[.*leaves the carrier"):
-            run()
-    assert "_escape" in vars(s.monoid)  # searched once, kept
+    covers = [W.join_all(s.d(x, y) for y in s.elements) for x in s.elements]
+    assert s.radius(s.elements) == reduce(UpSet.meet, covers)
+    assert VMap.make(s, s, {x: x for x in s.elements}).is_hole_preserving()
     canonical_embedding(s)
     values = set(s.dist.values())
     joins = {
@@ -1623,6 +1621,39 @@ def test_a_thin_word_carrier_is_refused_where_a_lattice_is_needed():
         s.monoid.name(u): frozenset(p for p, d in s.dist.items() if d.leq(u))
         for u in joins
     }
+
+
+def verdict_or_refusal(check, *args):
+    """The result of a check, or the text of the ``HypothesisError`` it
+    raised."""
+    try:
+        return check(*args)
+    except HypothesisError as exc:
+        return ("HypothesisError", str(exc))
+
+
+def test_a_thin_space_answers_as_its_closure():
+    """A digraph's space over its distance values closes its own carrier
+    where a check quantifies over values, so it agrees with its closed
+    space on hyperconvexity, both kinds of boundedness, every radius and
+    the hole preservation of every self-map."""
+    checks = (VSpace.is_hyperconvex, VSpace.is_bounded, macneille_bounded)
+    for g in reflexive_three_vertex_digraphs():
+        thin = distance_space(g)
+        closed = thin.closed()
+        assert thin.monoid.masks is None and closed.monoid.masks is not None
+        for check in checks:
+            got = verdict_or_refusal(check, thin)
+            assert got == verdict_or_refusal(check, closed), (g.arcs, check)
+        for bits in product((False, True), repeat=3):
+            subset = [x for x, keep in zip(thin.elements, bits) if keep]
+            assert thin.radius(subset) == closed.radius(subset), (g.arcs, subset)
+        for values in product(thin.elements, repeat=3):
+            mapping = dict(zip(thin.elements, values))
+            thin_map, closed_map = (VMap.make(s, s, mapping) for s in (thin, closed))
+            assert verdict_or_refusal(VMap.is_hole_preserving, thin_map) == (
+                verdict_or_refusal(VMap.is_hole_preserving, closed_map)
+            )
 
 
 def test_a_distance_carrier_closes_to_the_memoised_carrier():
@@ -1654,8 +1685,7 @@ def test_a_closed_carrier_given_directly_is_accepted():
     graph = zigzag_from_word("+-").graph
     dist = {p: d.value for p, d in all_zigzag_distances(graph).items()}
     for m in (closed, direct):
-        m.check_lattice()
         s = VSpace.make(graph.vertices, m, dist)
         assert s.radius(s.elements) == carrier_scan_radius(s, s.elements)
         assert len(s.to_relsys().relations) > 1
-    assert direct.masks is None and direct._escape == ()
+    assert direct.masks is None
